@@ -71,7 +71,6 @@ func main() {
 	threshold := flag.Int64("threshold", 2<<30, "optimizer memory-limit threshold in bytes")
 	cacheDist := flag.Float64("cache", -1, "enable per-model result caching with this squared-L2 distance threshold (0 = exact repeats only, negative = off)")
 	cacheMax := flag.Int("cache-max", 0, "result cache admission cap in entries (0 = unbounded)")
-	noPipeline := flag.Bool("no-pipeline", false, "disable pipelined PREDICT batching")
 	quantized := flag.Bool("quantized", false, "serve every PREDICT from the model's int8-resident quantized twin (as if each query said OPTIONS (quantized))")
 	noCoalesce := flag.Bool("no-coalesce", false, "disable cross-query PREDICT coalescing")
 	coalesceWindow := flag.Duration("coalesce-window", 0, "how long a PREDICT leader waits for other queries to join its model invocation (0 = default)")
@@ -91,7 +90,6 @@ func main() {
 		ResultCache:            *cacheDist >= 0,
 		ResultCacheDistance:    max(*cacheDist, 0),
 		ResultCacheMaxEntries:  *cacheMax,
-		DisablePredictPipeline: *noPipeline,
 		PredictQuantized:       *quantized,
 		DisablePredictCoalesce: *noCoalesce,
 		PredictCoalesceWindow:  *coalesceWindow,
@@ -396,9 +394,9 @@ func shellCommand(db *engine.DB, line string) bool {
 		s := db.Stats()
 		fmt.Printf("pool: %d hits, %d misses, %d evictions | disk: %d reads, %d writes | mem peak: %d KiB\n",
 			s.PoolHits, s.PoolMisses, s.PoolEvictions, s.DiskReads, s.DiskWrites, s.MemPeak>>10)
-		fmt.Printf("predict: %d batches (%d all-hit), %d model calls | cache: %d hits, %d misses, %d shared | pipeline: %d fills, %d stalls\n",
+		fmt.Printf("predict: %d batches (%d all-hit), %d model calls | cache: %d hits, %d misses, %d shared\n",
 			s.PredictBatches, s.BatchesAllHit, s.PredictUDFCalls,
-			s.CacheHits, s.CacheMisses, s.CacheShared, s.PipelineFills, s.PipelineStalls)
+			s.CacheHits, s.CacheMisses, s.CacheShared)
 	case `\lower`:
 		if len(fields) != 3 {
 			fmt.Println(`usage: \lower <model> <batch>`)

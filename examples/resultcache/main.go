@@ -100,7 +100,6 @@ func main() {
 	fmt.Printf("warm query:  %v (%.1fx speedup, %d cache hits, %d all-hit batches)\n",
 		warmLat.Round(time.Microsecond), float64(coldLat)/float64(warmLat),
 		s.CacheHits, s.BatchesAllHit)
-	fmt.Printf("pipeline:    %d fills / %d stalls\n", s.PipelineFills, s.PipelineStalls)
 
 	// SLA check (Sec. 5): near-match reuse trades accuracy for latency;
 	// the Monte-Carlo estimator gates the cache on an agreement floor.

@@ -41,7 +41,7 @@ type ResultCache struct {
 	shared   atomic.Int64
 	rejected atomic.Int64
 
-	fmu     sync.Mutex // guards flights, independent of mu
+	fmu     sync.Mutex // guards flights; may be held while taking mu, never the reverse
 	flights map[string]*flight
 }
 
@@ -236,6 +236,20 @@ func (c *ResultCache) ProbeFlight(features []float32) (pred []float32, ok bool, 
 	if f, inflight := c.flights[key]; inflight {
 		c.fmu.Unlock()
 		return nil, false, &Flight{c: c, key: key, f: f}, nil
+	}
+	// A leader may have committed between the lookup above and taking fmu.
+	// Commit inserts before it removes its flight, so the exact map already
+	// holds that result: re-check it, or this probe would lead a second
+	// computation and insert a duplicate entry.
+	c.mu.RLock()
+	id, hit := c.exact[key]
+	pred = c.preds[id]
+	c.mu.RUnlock()
+	if hit {
+		c.fmu.Unlock()
+		c.misses.Add(-1)
+		c.hits.Add(1)
+		return pred, true, nil, nil
 	}
 	f := &flight{done: make(chan struct{})}
 	c.flights[key] = f

@@ -1,6 +1,7 @@
 package cache
 
 import (
+	"math"
 	"math/rand"
 	"testing"
 
@@ -92,6 +93,33 @@ func trainedModel(t *testing.T, seed int64) (*nn.Model, *data.Classified, *data.
 		t.Fatal(err)
 	}
 	return m, train, test
+}
+
+// TestDistanceZeroIsExactMatch: at distance 0 the cache answers only
+// bit-identical repeats (from its exact-match map) and misses a vector one
+// ULP away; the returned prediction does not alias the caller's slices.
+func TestDistanceZeroIsExactMatch(t *testing.T) {
+	c, err := NewHNSW(3, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	feat := []float32{1, 2, 3}
+	pred := []float32{0.9}
+	if err := c.Insert(feat, pred); err != nil {
+		t.Fatal(err)
+	}
+	feat[0], pred[0] = 9, 9 // the caller reuses its buffers
+	got, ok, err := c.Lookup([]float32{1, 2, 3})
+	if err != nil || !ok || got[0] != 0.9 {
+		t.Fatalf("bit-identical lookup: ok=%v pred=%v err=%v", ok, got, err)
+	}
+	ulp := []float32{1, 2, math.Nextafter32(3, 4)}
+	if _, ok, err := c.Lookup(ulp); err != nil || ok {
+		t.Fatalf("one-ULP-away lookup: ok=%v err=%v, want a miss", ok, err)
+	}
+	if hits, misses := c.Stats(); hits != 1 || misses != 1 {
+		t.Fatalf("stats = %d/%d, want 1/1", hits, misses)
+	}
 }
 
 func TestCachedModelMissThenHit(t *testing.T) {

@@ -1,6 +1,7 @@
 // Package engine is the embedded database: it wires the paged storage
 // layer, the catalog, the SQL front end, and the adaptive inference stack
-// (optimizer + executor + UDF registry) into a single embeddable object.
+// (optimizer + executor + per-model PREDICT serving entries) into a single
+// embeddable object.
 // This is the public face of the system — open a database, create tables,
 // load models, and run SQL with PREDICT() nested in it.
 package engine
@@ -59,9 +60,6 @@ type Options struct {
 	// ResultCacheMaxEntries caps each model's cache; once full, new
 	// results are served but no longer admitted. 0 means unbounded.
 	ResultCacheMaxEntries int
-	// DisablePredictPipeline forces PREDICT to pull input batches
-	// serially instead of overlapping scan/decode with model compute.
-	DisablePredictPipeline bool
 	// PredictQuantized serves every PREDICT from the model's int8-resident
 	// quantized twin by default, as if each query said OPTIONS (quantized).
 	// Queries over models without a quantized twin fail.
@@ -134,7 +132,6 @@ type DB struct {
 	cat    *catalog.Catalog
 	budget *memlimit.Budget
 	opt    *core.Optimizer
-	udfs   *udf.Registry
 	opts   Options
 
 	// locks serializes conflicting statements (see internal/lockmgr):
@@ -146,12 +143,10 @@ type DB struct {
 	vmu      sync.Mutex
 	vindexes map[vindexKey]*vectorIndex
 
-	// Per-model inference-result caches (Sec. 5), present when
-	// Options.ResultCache is set, and per-model cross-query invocation
-	// coalescers (present unless DisablePredictCoalesce).
-	cmu        sync.Mutex
-	caches     map[string]*cache.ResultCache
-	coalescers map[string]*udf.Coalescer
+	// served maps each loaded model's name to everything PREDICT needs to
+	// serve it (see servedModel).
+	servedMu sync.Mutex
+	served   map[string]*servedModel
 
 	// Serving-path counters aggregated across every PREDICT.
 	inferStats udf.InferStats
@@ -175,13 +170,8 @@ type DB struct {
 
 	// blocks is the content-addressed weight-block store: every loaded
 	// model's tensors alias assemblies of refcounted 64 KiB blocks, shared
-	// across fine-tuned variants (see internal/blockstore). manifests maps
-	// each durable model to the manifest whose references it holds; models
-	// with a nil manifest entry are memory-resident only (unserializable
-	// layers) and skipped by the catalog checkpoint and the WAL.
-	blocks    *blockstore.Store
-	manMu     sync.Mutex
-	manifests map[string]*nn.Manifest
+	// across fine-tuned variants (see internal/blockstore).
+	blocks *blockstore.Store
 	// persistedBlocks tracks which block files already exist under
 	// .blocks/, so an unchanged checkpoint writes zero model bytes. Only
 	// loadCatalog (open) and saveCatalog (serialized by the checkpoint
@@ -245,23 +235,20 @@ func Open(path string, opts Options) (*DB, error) {
 		return nil, err
 	}
 	db := &DB{
-		path:       path,
-		disk:       disk,
-		pool:       storage.NewBufferPool(disk, opts.BufferFrames),
-		cat:        catalog.New(),
-		budget:     memlimit.NewBudget(opts.MemoryBudget),
-		opt:        core.NewOptimizer(opts.MemoryThreshold),
-		udfs:       udf.NewRegistry(),
-		opts:       opts,
-		locks:      lockmgr.New(),
-		caches:     make(map[string]*cache.ResultCache),
-		coalescers: make(map[string]*udf.Coalescer),
-		reg:        obs.NewRegistry(),
-		wal:        wlog,
-		faults:     opts.Faults,
+		path:   path,
+		disk:   disk,
+		pool:   storage.NewBufferPool(disk, opts.BufferFrames),
+		cat:    catalog.New(),
+		budget: memlimit.NewBudget(opts.MemoryBudget),
+		opt:    core.NewOptimizer(opts.MemoryThreshold),
+		opts:   opts,
+		locks:  lockmgr.New(),
+		served: make(map[string]*servedModel),
+		reg:    obs.NewRegistry(),
+		wal:    wlog,
+		faults: opts.Faults,
 
 		blocks:          blockstore.New(),
-		manifests:       make(map[string]*nn.Manifest),
 		persistedBlocks: make(map[blockstore.Hash]bool),
 	}
 	db.pubCond = sync.NewCond(&db.pubMu)
@@ -318,27 +305,25 @@ func (db *DB) registerMetrics() {
 	r.CounterFunc("tensorbase_cache_shared_total", "PREDICT rows that joined another request's flight", func() float64 { return float64(db.inferStats.Shared.Load()) })
 	r.CounterFunc("tensorbase_cache_rejected_total", "result-cache inserts rejected by the admission cap", func() float64 {
 		var n int64
-		db.cmu.Lock()
-		for _, rc := range db.caches {
-			n += rc.Counters().Rejected
-		}
-		db.cmu.Unlock()
+		db.eachMode(func(sm servingMode) {
+			if sm.cache != nil {
+				n += sm.cache.Counters().Rejected
+			}
+		})
 		return float64(n)
 	})
 	r.GaugeFunc("tensorbase_cache_entries", "entries across all result caches", func() float64 {
 		var n int
-		db.cmu.Lock()
-		for _, rc := range db.caches {
-			n += rc.Len()
-		}
-		db.cmu.Unlock()
+		db.eachMode(func(sm servingMode) {
+			if sm.cache != nil {
+				n += sm.cache.Len()
+			}
+		})
 		return float64(n)
 	})
 	r.CounterFunc("tensorbase_predict_udf_calls_total", "model batch invocations", func() float64 { return float64(db.inferStats.UDFCalls.Load()) })
 	r.CounterFunc("tensorbase_predict_batches_total", "PREDICT micro-batches processed", func() float64 { return float64(db.inferStats.Batches.Load()) })
 	r.CounterFunc("tensorbase_predict_batches_allhit_total", "batches that skipped the model entirely", func() float64 { return float64(db.inferStats.BatchesAllHit.Load()) })
-	r.CounterFunc("tensorbase_pipeline_fills_total", "producer finished a batch before it was asked", func() float64 { return float64(db.inferStats.PipelineFills.Load()) })
-	r.CounterFunc("tensorbase_pipeline_stalls_total", "consumer waits on the batch producer", func() float64 { return float64(db.inferStats.PipelineStalls.Load()) })
 	r.CounterFunc("tensorbase_predict_colbatches_total", "PREDICT micro-batches decoded columnarly (no per-row copy)", func() float64 { return float64(db.inferStats.ColBatches.Load()) })
 	r.CounterFunc("tensorbase_kernel_serial_runs_total", "matmul kernels run on the caller's goroutine alone", func() float64 { return float64(tensor.Kernels().SerialRuns) })
 	r.CounterFunc("tensorbase_kernel_fanouts_total", "matmul kernels that drew extra workers from the compute budget", func() float64 { return float64(tensor.Kernels().FanOuts) })
@@ -513,11 +498,10 @@ func (db *DB) EnableOffload(rt *dlruntime.Runtime, minFlopsPerByte float64) {
 // width, fused into every PREDICT over it.
 //
 // LoadModel also builds the model's int8-resident quantized twin (weights
-// packed int8 + per-channel scales, served by the packed int8 GEMM) and
-// registers it as the "quantized:" UDF behind PREDICT ... OPTIONS
-// (quantized). The twin gets its own result cache and coalescer — quantized
-// predictions differ in bits from f32, so the two modes must never share
-// cached results or model invocations.
+// packed int8 + per-channel scales, served by the packed int8 GEMM), which
+// serves PREDICT ... OPTIONS (quantized). The twin gets its own result cache
+// and coalescer — quantized predictions differ in bits from f32, so the two
+// modes must never share cached results or model invocations.
 //
 // The load is durable and deduplicated: the model's tensors are split
 // into content-addressed 64 KiB blocks, blocks already resident (shared
@@ -625,82 +609,36 @@ func (db *DB) DropModel(name string) error {
 	return nil
 }
 
-// registerModel installs a model in memory only: the catalog entry, the
-// adaptive and quantized UDFs, and the serving state. loadCatalog and WAL
-// replay call it directly — their durability is the meta file and the log.
-// mf, when non-nil, is the manifest whose block references the model holds;
-// a nil manifest marks the model memory-resident (not persisted).
-func (db *DB) registerModel(m *nn.Model, accuracy float64, mf *nn.Manifest) error {
-	if err := db.cat.RegisterModel(m, accuracy, ""); err != nil {
-		return err
-	}
-	if err := db.udfs.Register(core.NewAdaptiveUDF(m, db.opt, db.pool, db.budget)); err != nil {
-		return err
-	}
-	if err := db.addServingState(m.Name(), m); err != nil {
-		return err
-	}
-	// A model whose layers cannot be quantized simply has no twin; asking
-	// for OPTIONS (quantized) over it is a query-time error. The twin is
-	// built from the reassembled (block-backed) tensors, so quantized
-	// serving is byte-for-byte what it was before deduplication.
-	if q, qerr := nn.QuantizeResident(m); qerr == nil {
-		if err := db.udfs.Register(udf.NewQuantizedUDF(q, m.Name(), db.budget)); err != nil {
-			return err
-		}
-		if err := db.addServingState(quantizedKey(m.Name()), m); err != nil {
-			return err
-		}
-	}
-	if mf != nil {
-		db.manMu.Lock()
-		db.manifests[m.Name()] = mf
-		db.manMu.Unlock()
-	}
-	return nil
+// servedModel is one loaded model's serving entry: its two precision modes
+// and, for a durable model, the manifest whose block references it holds.
+// Entries are immutable once published in DB.served.
+type servedModel struct {
+	modes [2]servingMode // indexed by precision
+	// manifest is nil for memory-resident models (unserializable layers),
+	// which the catalog checkpoint and the WAL skip.
+	manifest *nn.Manifest
 }
 
-// unregisterModel removes a model's in-memory state — catalog entry, UDFs,
-// caches, coalescers — and releases its manifest's block references. The
-// caller sweeps the store once its atomic unit (drop statement, replicated
-// group, replay) is complete.
-func (db *DB) unregisterModel(name string) {
-	db.cat.DropModel(name)
-	db.udfs.Unregister("adaptive:" + name)
-	db.udfs.Unregister("quantized:" + name)
-	db.cmu.Lock()
-	delete(db.caches, name)
-	delete(db.caches, quantizedKey(name))
-	delete(db.coalescers, name)
-	delete(db.coalescers, quantizedKey(name))
-	db.cmu.Unlock()
-	db.manMu.Lock()
-	mf := db.manifests[name]
-	delete(db.manifests, name)
-	db.manMu.Unlock()
-	if mf != nil {
-		nn.ReleaseManifest(mf, db.blocks)
-	}
+// precision indexes servedModel.modes.
+type precision int
+
+const (
+	precF32 precision = iota // the adaptive f32 UDF
+	precQ8                   // the int8-resident quantized twin
+)
+
+// servingMode is the serving state of one (model, precision) pair. The two
+// precisions never share a cache or a coalescer.
+type servingMode struct {
+	udf   udf.UDF            // nil when the model has no quantized twin
+	cache *cache.ResultCache // nil unless Options.ResultCache
+	co    *udf.Coalescer     // nil under DisablePredictCoalesce
 }
 
-// manifestFor returns the named model's manifest, if it has one.
-func (db *DB) manifestFor(name string) (*nn.Manifest, bool) {
-	db.manMu.Lock()
-	defer db.manMu.Unlock()
-	mf, ok := db.manifests[name]
-	return mf, ok
-}
-
-// BlockStats exposes the weight-block store's counters (tests, tools).
-func (db *DB) BlockStats() blockstore.Stats { return db.blocks.Stats() }
-
-// quantizedKey is the cache/coalescer key for a model's quantized serving
-// mode; the NUL cannot appear in a model name, so keys never collide.
-func quantizedKey(model string) string { return model + "\x00q8" }
-
-// addServingState installs the per-(model, mode) serving infrastructure: a
-// result cache when enabled, and a cross-query coalescer unless disabled.
-func (db *DB) addServingState(key string, m *nn.Model) error {
+// newServingMode builds u's serving state for model m: a result cache when
+// enabled, and a cross-query coalescer unless disabled.
+func (db *DB) newServingMode(u udf.UDF, m *nn.Model) (servingMode, error) {
+	sm := servingMode{udf: u}
 	if db.opts.ResultCache {
 		dim := 1
 		for _, d := range m.InShape[1:] {
@@ -708,53 +646,128 @@ func (db *DB) addServingState(key string, m *nn.Model) error {
 		}
 		rc, err := cache.NewHNSW(dim, db.opts.ResultCacheDistance)
 		if err != nil {
-			return err
+			return servingMode{}, err
 		}
 		rc.SetMaxEntries(db.opts.ResultCacheMaxEntries)
-		db.cmu.Lock()
-		db.caches[key] = rc
-		db.cmu.Unlock()
+		sm.cache = rc
 	}
 	if !db.opts.DisablePredictCoalesce {
-		db.cmu.Lock()
-		db.coalescers[key] = udf.NewCoalescer(db.opts.PredictCoalesceWindow, 0)
-		db.cmu.Unlock()
+		sm.co = udf.NewCoalescer(db.opts.PredictCoalesceWindow, 0)
 	}
+	return sm, nil
+}
+
+// registerModel installs a model in memory only: the catalog entry and its
+// serving entry. loadCatalog and WAL replay call it directly — their
+// durability is the meta file and the log. mf, when non-nil, is the
+// manifest whose block references the model holds; a nil manifest marks the
+// model memory-resident (not persisted).
+func (db *DB) registerModel(m *nn.Model, accuracy float64, mf *nn.Manifest) error {
+	e := &servedModel{manifest: mf}
+	var err error
+	if e.modes[precF32], err = db.newServingMode(core.NewAdaptiveUDF(m, db.opt, db.pool, db.budget), m); err != nil {
+		return err
+	}
+	// A model whose layers cannot be quantized simply has no twin; asking
+	// for OPTIONS (quantized) over it is a query-time error. The twin is
+	// built from the reassembled (block-backed) tensors, so quantized
+	// serving is byte-for-byte what it was before deduplication.
+	if q, qerr := nn.QuantizeResident(m); qerr == nil {
+		if e.modes[precQ8], err = db.newServingMode(udf.NewModelUDF(q, db.budget), m); err != nil {
+			return err
+		}
+	}
+	if err := db.cat.RegisterModel(m, accuracy, ""); err != nil {
+		return err
+	}
+	db.servedMu.Lock()
+	db.served[m.Name()] = e
+	db.servedMu.Unlock()
 	return nil
 }
 
-// coalescerFor returns the named model's cross-query invocation coalescer,
-// unless coalescing is disabled or the model is not loaded.
+// unregisterModel removes a model's in-memory state — catalog and serving
+// entries — and releases its manifest's block references. The caller sweeps
+// the store once its atomic unit (drop statement, replicated group, replay)
+// is complete.
+func (db *DB) unregisterModel(name string) {
+	db.cat.DropModel(name)
+	db.servedMu.Lock()
+	e := db.served[name]
+	delete(db.served, name)
+	db.servedMu.Unlock()
+	if e != nil && e.manifest != nil {
+		nn.ReleaseManifest(e.manifest, db.blocks)
+	}
+}
+
+// servedFor returns the named model's serving entry, if it is loaded.
+func (db *DB) servedFor(name string) (*servedModel, bool) {
+	db.servedMu.Lock()
+	defer db.servedMu.Unlock()
+	e, ok := db.served[name]
+	return e, ok
+}
+
+// eachMode calls fn on every serving mode of every loaded model, under the
+// served lock.
+func (db *DB) eachMode(fn func(servingMode)) {
+	db.servedMu.Lock()
+	defer db.servedMu.Unlock()
+	for _, e := range db.served {
+		for _, sm := range e.modes {
+			fn(sm)
+		}
+	}
+}
+
+// manifestFor returns the named model's manifest, if it has one.
+func (db *DB) manifestFor(name string) (*nn.Manifest, bool) {
+	e, ok := db.servedFor(name)
+	if !ok || e.manifest == nil {
+		return nil, false
+	}
+	return e.manifest, true
+}
+
+// BlockStats exposes the weight-block store's counters (tests, tools).
+func (db *DB) BlockStats() blockstore.Stats { return db.blocks.Stats() }
+
+// coalescerFor returns the named model's f32 cross-query invocation
+// coalescer, unless coalescing is disabled or the model is not loaded.
 func (db *DB) coalescerFor(model string) (*udf.Coalescer, bool) {
-	db.cmu.Lock()
-	defer db.cmu.Unlock()
-	co, ok := db.coalescers[model]
-	return co, ok
+	e, ok := db.servedFor(model)
+	if !ok || e.modes[precF32].co == nil {
+		return nil, false
+	}
+	return e.modes[precF32].co, true
 }
 
 // coalesceStats sums coalescing counters across every loaded model.
 func (db *DB) coalesceStats() udf.CoalesceStats {
 	var sum udf.CoalesceStats
-	db.cmu.Lock()
-	for _, co := range db.coalescers {
-		st := co.Stats()
+	db.eachMode(func(sm servingMode) {
+		if sm.co == nil {
+			return
+		}
+		st := sm.co.Stats()
 		sum.Invocations += st.Invocations
 		sum.MultiInvocations += st.MultiInvocations
 		sum.Rows += st.Rows
 		sum.CoalescedRows += st.CoalescedRows
 		sum.Participants += st.Participants
-	}
-	db.cmu.Unlock()
+	})
 	return sum
 }
 
-// ResultCacheFor returns the named model's inference-result cache, if
+// ResultCacheFor returns the named model's f32 inference-result cache, if
 // result caching is enabled and the model is loaded.
 func (db *DB) ResultCacheFor(model string) (*cache.ResultCache, bool) {
-	db.cmu.Lock()
-	defer db.cmu.Unlock()
-	rc, ok := db.caches[model]
-	return rc, ok
+	e, ok := db.servedFor(model)
+	if !ok || e.modes[precF32].cache == nil {
+		return nil, false
+	}
+	return e.modes[precF32].cache, true
 }
 
 // LoadModelFile loads a TBM1 model file and registers it.
@@ -824,8 +837,6 @@ type Stats struct {
 	PredictBatches  int64 // micro-batches processed
 	ColBatches      int64 // micro-batches decoded columnarly
 	BatchesAllHit   int64 // batches that skipped the model entirely
-	PipelineFills   int64 // producer finished a batch before it was asked
-	PipelineStalls  int64 // consumer waited on the producer
 	Panics          int64 // panics contained as query errors (query + UDF level)
 
 	// Cross-query coalescing (summed over all models).
@@ -856,8 +867,6 @@ func (db *DB) Stats() Stats {
 		PredictBatches:  db.inferStats.Batches.Load(),
 		ColBatches:      db.inferStats.ColBatches.Load(),
 		BatchesAllHit:   db.inferStats.BatchesAllHit.Load(),
-		PipelineFills:   db.inferStats.PipelineFills.Load(),
-		PipelineStalls:  db.inferStats.PipelineStalls.Load(),
 		Panics:          db.panics.Load() + db.inferStats.Panics.Load(),
 
 		CoalescedRows:        cs.CoalescedRows,

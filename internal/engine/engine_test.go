@@ -3,6 +3,7 @@ package engine
 import (
 	"errors"
 	"fmt"
+	"math"
 	"math/rand"
 	"os"
 	"path/filepath"
@@ -708,22 +709,28 @@ func TestPredictCachedMatchesUncached(t *testing.T) {
 	}
 }
 
-func TestPredictPipelineDisabledBitIdentical(t *testing.T) {
-	piped := openDB(t, Options{InferBatch: 8})
-	loadFraud(t, piped, 40)
-	serial := openDB(t, Options{InferBatch: 8, DisablePredictPipeline: true})
-	loadFraud(t, serial, 40)
+// TestPredictCoalesceDisabledBitIdentical: f32 PREDICT through the
+// cross-query coalescer returns the same rows, in the same order and bits,
+// as PREDICT with coalescing disabled.
+func TestPredictCoalesceDisabledBitIdentical(t *testing.T) {
+	coalesced := openDB(t, Options{InferBatch: 8})
+	loadFraud(t, coalesced, 40)
+	direct := openDB(t, Options{InferBatch: 8, DisablePredictCoalesce: true})
+	loadFraud(t, direct, 40)
 	q := "SELECT id, PREDICT(Fraud-FC-32, features) FROM txns"
-	a := mustExec(t, piped, q)
-	b := mustExec(t, serial, q)
+	a := mustExec(t, coalesced, q)
+	b := mustExec(t, direct, q)
+	if len(a.Rows) != 40 || len(b.Rows) != 40 {
+		t.Fatalf("rows = %d coalesced, %d direct, want 40", len(a.Rows), len(b.Rows))
+	}
 	for i := range a.Rows {
 		if a.Rows[i][0].Int != b.Rows[i][0].Int {
 			t.Fatalf("row order diverged at %d", i)
 		}
 		ap, bp := a.Rows[i][1].Vec, b.Rows[i][1].Vec
 		for j := range ap {
-			if ap[j] != bp[j] {
-				t.Fatalf("row %d: pipelined and serial PREDICT differ", i)
+			if math.Float32bits(ap[j]) != math.Float32bits(bp[j]) {
+				t.Fatalf("row %d: coalesced and direct PREDICT differ", i)
 			}
 		}
 	}
@@ -787,9 +794,6 @@ func TestExecProfiledPredictNote(t *testing.T) {
 			found = true
 			if !strings.Contains(s.Note, "cache") {
 				t.Fatalf("predict stage note %q missing cache counters", s.Note)
-			}
-			if !strings.Contains(s.Note, "pipelined") {
-				t.Fatalf("predict stage note %q should report the pipelined mode that ran", s.Note)
 			}
 		}
 	}

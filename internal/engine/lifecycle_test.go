@@ -200,13 +200,11 @@ func TestInsertCancelled(t *testing.T) {
 	}
 }
 
-// TestQueryPanicCountsAndDBSurvives exercises the query-level recover (above
-// the UDF layer) via a model registered directly against the UDF registry
-// boundary: a panicking layer reached through the serial (non-pipelined)
-// path still converts to an error.
+// TestQueryPanicSerialPath: a panicking layer reached through PREDICT
+// converts to a query error, is counted, and leaves the database serving.
 func TestQueryPanicSerialPath(t *testing.T) {
 	testutil.NoLeakedGoroutines(t)
-	db := openDB(t, Options{InferBatch: 16, DisablePredictPipeline: true})
+	db := openDB(t, Options{InferBatch: 16})
 	loadFraud(t, db, 30)
 	bad, err := nn.NewModel("boom2", []int{1, 28}, panicLayer{})
 	if err != nil {

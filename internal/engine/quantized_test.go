@@ -2,7 +2,11 @@ package engine
 
 import (
 	"math"
+	"strings"
+	"sync"
 	"testing"
+
+	"tensorbase/internal/nn"
 )
 
 // TestPredictQuantizedAccuracyGate is the accuracy-delta gate for quantized
@@ -52,7 +56,7 @@ func argmax32(v []float32) int {
 }
 
 // TestPredictQuantizedBitIdenticalAcrossModes: per-row activation scales
-// make quantized outputs a function of each row alone, so serial, pipelined,
+// make quantized outputs a function of each row alone, so plain, coalesced,
 // and cached/coalesced executions must produce bit-identical predictions.
 func TestPredictQuantizedBitIdenticalAcrossModes(t *testing.T) {
 	const q = "SELECT id, PREDICT(Fraud-FC-32, features) OPTIONS (quantized) FROM txns"
@@ -67,10 +71,10 @@ func TestPredictQuantizedBitIdenticalAcrossModes(t *testing.T) {
 		}
 		return out
 	}
-	serial := run(Options{DisablePredictPipeline: true, DisablePredictCoalesce: true})
-	pipelined := run(Options{DisablePredictCoalesce: true})
+	serial := run(Options{DisablePredictCoalesce: true})
+	coalescedOnly := run(Options{})
 	coalesced := run(Options{ResultCache: true})
-	for name, got := range map[string][][]float32{"pipelined": pipelined, "cached+coalesced": coalesced} {
+	for name, got := range map[string][][]float32{"coalesced": coalescedOnly, "cached+coalesced": coalesced} {
 		if len(got) != len(serial) {
 			t.Fatalf("%s: %d rows vs %d", name, len(got), len(serial))
 		}
@@ -135,4 +139,139 @@ func TestPredictQuantizedErrors(t *testing.T) {
 	if _, err := db.Exec("SELECT PREDICT(Fraud-FC-32, features) OPTIONS (turbo) FROM txns"); err == nil {
 		t.Fatal("unknown PREDICT option must error")
 	}
+}
+
+// TestPredictPrecisionLifecycle: both serving precisions of a model come
+// and go together. After DropModel neither serves; reloading the name serves
+// both again from cold per-precision caches; a duplicate load changes
+// nothing; a model without a quantized twin serves f32 only.
+func TestPredictPrecisionLifecycle(t *testing.T) {
+	const (
+		f32Q = "SELECT id, PREDICT(Fraud-FC-32, features) FROM txns"
+		q8Q  = "SELECT id, PREDICT(Fraud-FC-32, features) OPTIONS (quantized) FROM txns"
+		rows = 20
+	)
+	db := openDB(t, Options{InferBatch: 8, ResultCache: true})
+	m, _ := loadFraud(t, db, rows)
+	// coldRun runs q and checks every row missed its own cache.
+	coldRun := func(q string) *Result {
+		t.Helper()
+		before := db.Stats()
+		res := mustExec(t, db, q)
+		after := db.Stats()
+		if h, miss := after.CacheHits-before.CacheHits, after.CacheMisses-before.CacheMisses; h != 0 || miss != rows {
+			t.Fatalf("%s: %d hits, %d misses, want a cold cache (0/%d)", q, h, miss, rows)
+		}
+		return res
+	}
+	f32Before, q8Before := coldRun(f32Q), coldRun(q8Q)
+	mustExec(t, db, f32Q) // warm both caches before the drop
+	mustExec(t, db, q8Q)
+
+	if err := db.DropModel("Fraud-FC-32"); err != nil {
+		t.Fatal(err)
+	}
+	for _, q := range []string{f32Q, q8Q} {
+		if _, err := db.Exec(q); err == nil || !strings.Contains(err.Error(), "not loaded") {
+			t.Fatalf("%s after DropModel: err = %v, want \"not loaded\"", q, err)
+		}
+	}
+
+	if err := db.LoadModel(m, 0.95); err != nil {
+		t.Fatal(err)
+	}
+	for _, c := range []struct {
+		q    string
+		want *Result
+	}{{f32Q, f32Before}, {q8Q, q8Before}} {
+		got := coldRun(c.q)
+		for i := range c.want.Rows {
+			a, b := c.want.Rows[i][1].Vec, got.Rows[i][1].Vec
+			for j := range a {
+				if math.Float32bits(a[j]) != math.Float32bits(b[j]) {
+					t.Fatalf("%s row %d: reloaded model predicts %v, want %v", c.q, i, b, a)
+				}
+			}
+		}
+	}
+
+	// A duplicate load is rejected and leaves the served entry (and its
+	// now-warm caches) in place.
+	if err := db.LoadModel(m, 0.95); err == nil {
+		t.Fatal("loading a model name twice must error")
+	}
+	for _, q := range []string{f32Q, q8Q} {
+		before := db.Stats().CacheHits
+		mustExec(t, db, q)
+		if got := db.Stats().CacheHits - before; got != rows {
+			t.Fatalf("%s after a rejected duplicate load: %d cache hits, want %d", q, got, rows)
+		}
+	}
+
+	ident, err := nn.NewModel("ident", []int{1, 28}, slowLayer{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := nn.QuantizeResident(ident); err == nil {
+		t.Fatal("test premise: the identity test layer must not quantize")
+	}
+	if err := db.LoadModel(ident, 0); err != nil {
+		t.Fatal(err)
+	}
+	if res := mustExec(t, db, "SELECT PREDICT(ident, features) FROM txns"); len(res.Rows) != rows {
+		t.Fatalf("f32 PREDICT over the twinless model: %d rows", len(res.Rows))
+	}
+	_, err = db.Exec("SELECT PREDICT(ident, features) OPTIONS (quantized) FROM txns")
+	if err == nil || !strings.Contains(err.Error(), "no quantized twin") {
+		t.Fatalf("quantized PREDICT over the twinless model: err = %v, want \"no quantized twin\"", err)
+	}
+}
+
+// TestPredictDuringDropAndReload: PREDICTs at both precisions and metric
+// scrapes race a model being dropped and reloaded. Each query either
+// serves every row or fails with "not loaded"; run under -race.
+func TestPredictDuringDropAndReload(t *testing.T) {
+	const rows = 16
+	db := openDB(t, Options{InferBatch: 8, ResultCache: true})
+	m, _ := loadFraud(t, db, rows)
+	stop := make(chan struct{})
+	var wg sync.WaitGroup
+	for _, q := range []string{
+		"SELECT id, PREDICT(Fraud-FC-32, features) FROM txns",
+		"SELECT id, PREDICT(Fraud-FC-32, features) OPTIONS (quantized) FROM txns",
+	} {
+		wg.Add(1)
+		go func(q string) {
+			defer wg.Done()
+			for {
+				select {
+				case <-stop:
+					return
+				default:
+				}
+				res, err := db.Exec(q)
+				switch {
+				case err != nil && !strings.Contains(err.Error(), "not loaded"):
+					t.Errorf("%s: %v", q, err)
+					return
+				case err == nil && len(res.Rows) != rows:
+					t.Errorf("%s: %d rows, want %d", q, len(res.Rows), rows)
+					return
+				}
+				db.Metrics()
+			}
+		}(q)
+	}
+	for i := 0; i < 10; i++ {
+		if err := db.DropModel("Fraud-FC-32"); err != nil {
+			t.Error(err)
+			break
+		}
+		if err := db.LoadModel(m, 0.95); err != nil {
+			t.Error(err)
+			break
+		}
+	}
+	close(stop)
+	wg.Wait()
 }

@@ -143,40 +143,33 @@ func (db *DB) runSelect(st *sql.Select, profile bool, tok *lifecycle.Token) (*Re
 
 	if predict != nil {
 		// Quantized serving: per-query OPTIONS (quantized) or the engine-wide
-		// default routes to the model's int8-resident twin, with its own
-		// cache/coalescer key — the two modes never share results.
-		quantized := predict.Quantized || db.opts.PredictQuantized
-		udfName, cacheKey := "adaptive:"+predict.Model, predict.Model
-		if quantized {
-			udfName, cacheKey = "quantized:"+predict.Model, quantizedKey(predict.Model)
+		// default selects the model's int8-resident twin, which has its own
+		// cache and coalescer — the two modes never share results.
+		prec := precF32
+		if predict.Quantized || db.opts.PredictQuantized {
+			prec = precQ8
 		}
-		u, ok := db.udfs.Lookup(udfName)
+		e, ok := db.servedFor(predict.Model)
 		if !ok {
-			if quantized {
-				if _, f32 := db.udfs.Lookup("adaptive:" + predict.Model); f32 {
-					return nil, nil, fmt.Errorf("engine: model %q has no quantized twin", predict.Model)
-				}
-			}
 			return nil, nil, fmt.Errorf("engine: model %q is not loaded", predict.Model)
 		}
-		if quantized {
+		sm := e.modes[prec]
+		if sm.udf == nil {
+			return nil, nil, fmt.Errorf("engine: model %q has no quantized twin", predict.Model)
+		}
+		if prec == precQ8 {
 			db.mPredictQuantized.Inc()
 		}
 		iopts := []udf.InferOption{udf.WithStats(&db.inferStats), udf.WithCancel(tok)}
-		if !db.opts.DisablePredictPipeline {
-			// Producer draws a worker token from the process-wide compute
-			// budget; with none free the operator runs serially.
-			iopts = append(iopts, udf.WithPipeline(nil))
+		if sm.cache != nil {
+			iopts = append(iopts, udf.WithCache(sm.cache))
 		}
-		if rc, ok := db.ResultCacheFor(cacheKey); ok {
-			iopts = append(iopts, udf.WithCache(rc))
-		}
-		if co, ok := db.coalescerFor(cacheKey); ok {
+		if sm.co != nil {
 			// Concurrent PREDICTs over the same model merge their
 			// cache-miss rows into shared model invocations.
-			iopts = append(iopts, udf.WithCoalescer(co))
+			iopts = append(iopts, udf.WithCoalescer(sm.co))
 		}
-		infer, err := udf.NewInferOp(op, u, predict.FeatureCol, db.opts.InferBatch, iopts...)
+		infer, err := udf.NewInferOp(op, sm.udf, predict.FeatureCol, db.opts.InferBatch, iopts...)
 		if err != nil {
 			return nil, nil, err
 		}

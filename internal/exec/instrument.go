@@ -111,7 +111,7 @@ func (i *Instrumented) Close() error {
 }
 
 // Noter is implemented by operators that can summarise internal counters
-// (cache hit rates, pipeline fill/stall) in one line; EXPLAIN ANALYZE
+// (e.g. cache hit rates) in one line; EXPLAIN ANALYZE
 // surfaces the note next to the stage's row/time stats.
 type Noter interface {
 	StageNote() string

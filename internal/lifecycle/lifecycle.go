@@ -5,7 +5,7 @@
 // carrying the offending stack.
 //
 // The token exists because the hot loops — block multiplies, heap scans,
-// pipelined batch producers — cannot afford a mutex-guarded ctx.Err() per
+// PREDICT batch pulls — cannot afford a mutex-guarded ctx.Err() per
 // tuple. Watch spawns one watcher goroutine per query that flips an atomic
 // flag when the context fires; every loop then pays a single atomic load per
 // check. A nil *Token is valid everywhere and means "never cancelled", so

@@ -98,8 +98,8 @@ var qScratchPool = sync.Pool{New: func() any { return new(qScratch) }}
 // packed int8 GEMM into a fresh (m,n) tensor. Quantize and pack are one
 // fused pass (no intermediate int8 matrix), with pooled scratch for the
 // packed image. Per-ROW activation scales make each output row a function
-// of that row alone, so batch composition (coalescing, pipelining,
-// caching) cannot change any row's bits.
+// of that row alone, so batch composition (coalescing, caching) cannot
+// change any row's bits.
 func (g *qGemm) apply(x *tensor.Tensor, m int) *tensor.Tensor {
 	if g.wf != nil {
 		// Narrow layer: f32 kernel over the dequantized weight copy. Row i

@@ -23,7 +23,7 @@ type TB interface {
 // seconds before declaring a leak, and reports the full stack of every
 // leaked goroutine.
 //
-// Use it first in any test that exercises the pipelined PREDICT path,
+// Use it first in any test that exercises the PREDICT path,
 // single-flight waits, or query cancellation: those are exactly the places
 // where an early error return can strand a goroutine.
 func NoLeakedGoroutines(t TB) {

@@ -7,7 +7,6 @@ import (
 
 	"tensorbase/internal/exec"
 	"tensorbase/internal/nn"
-	"tensorbase/internal/parallel"
 	"tensorbase/internal/storage"
 	"tensorbase/internal/table"
 )
@@ -96,38 +95,6 @@ func TestInferOpColumnarFallsBackBehindFilter(t *testing.T) {
 	for _, r := range got {
 		if r[0].Int%2 != 0 {
 			t.Fatalf("filter leaked row id %d", r[0].Int)
-		}
-	}
-}
-
-// TestInferOpColumnarPipelined: the producer goroutine takes the columnar
-// path too, and its output stays bit-identical to the serial columnar run.
-func TestInferOpColumnarPipelined(t *testing.T) {
-	rng := rand.New(rand.NewSource(52))
-	m := nn.FraudFC(rng, 32)
-	rows := featRows(rng, 57, 28)
-	h := featHeap(t, rows)
-
-	serialOp, err := NewInferOp(exec.NewHeapScan(h), NewModelUDF(m, nil), "features", 8)
-	if err != nil {
-		t.Fatal(err)
-	}
-	want := collectPreds(t, serialOp)
-
-	pipeOp, err := NewInferOp(exec.NewHeapScan(h), NewModelUDF(m, nil), "features", 8,
-		WithPipeline(parallel.NewBudget(2)))
-	if err != nil {
-		t.Fatal(err)
-	}
-	got := collectPreds(t, pipeOp)
-	if pipeOp.Stats().ColBatches.Load() == 0 {
-		t.Fatal("pipelined run must engage the columnar path")
-	}
-	for i := range want {
-		for j := range want[i] {
-			if got[i][j] != want[i][j] {
-				t.Fatalf("row %d[%d]: pipelined columnar %v != serial %v", i, j, got[i][j], want[i][j])
-			}
 		}
 	}
 }

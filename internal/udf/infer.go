@@ -1,21 +1,17 @@
 package udf
 
-// InferOp — the `PREDICT(model, features)` relational operator — as a staged
-// serving pipeline (the Sec. 5 serving path):
+// InferOp — the `PREDICT(model, features)` relational operator — is the
+// Sec. 5 serving path:
 //
-//	child operator ──pull+decode──▶ [producer] ──chan──▶ [consumer: cache probe
-//	                                                      → miss compaction
-//	                                                      → model → scatter]
+//	child operator ──pull+decode──▶ cache probe → miss compaction
+//	                                → model → scatter
 //
-// Stage 1 (pipelined batching): when a compute token is available from the
-// shared parallel.Budget, a producer goroutine pulls and decodes batch N+1
-// from the child while the consumer runs the model over batch N, so storage
-// I/O and tuple decode overlap model compute. With no token the operator
-// degrades to the serial pull-then-apply path; output order and values are
-// bit-identical either way.
+// Batching: each Next that exhausts the current batch pulls the next one
+// from the child — columnarly when the child supports it — and runs the
+// model over it.
 //
-// Stage 2 (cache-aware miss compaction): with a ResultCache attached, each
-// batch first probes the ANN index per row. Misses are compacted into one
+// Cache-aware miss compaction: with a ResultCache attached, each batch
+// first probes the ANN index per row. Misses are compacted into one
 // dense tensor, the UDF runs once over the miss set only, predictions are
 // scattered back into row order, and fresh results populate the cache. A
 // batch of all hits skips the model entirely. Duplicate in-flight features
@@ -26,13 +22,11 @@ package udf
 import (
 	"errors"
 	"fmt"
-	"sync"
 	"sync/atomic"
 
 	"tensorbase/internal/cache"
 	"tensorbase/internal/exec"
 	"tensorbase/internal/lifecycle"
-	"tensorbase/internal/parallel"
 	"tensorbase/internal/table"
 	"tensorbase/internal/tensor"
 )
@@ -55,12 +49,6 @@ type InferStats struct {
 	BatchesAllHit atomic.Int64 // batches that skipped the model entirely
 	ColBatches    atomic.Int64 // batches decoded columnarly (no per-row copy)
 
-	// Pipeline health: Fills counts batches the producer finished before
-	// the consumer asked (pipeline full, compute-bound); Stalls counts
-	// consumer waits on the producer (I/O-bound).
-	PipelineFills  atomic.Int64
-	PipelineStalls atomic.Int64
-
 	// Panics counts model/UDF panics contained as query errors.
 	Panics atomic.Int64
 }
@@ -78,8 +66,6 @@ func (s *InferStats) AddTo(sink *InferStats) {
 	sink.Batches.Add(s.Batches.Load())
 	sink.BatchesAllHit.Add(s.BatchesAllHit.Load())
 	sink.ColBatches.Add(s.ColBatches.Load())
-	sink.PipelineFills.Add(s.PipelineFills.Load())
-	sink.PipelineStalls.Add(s.PipelineStalls.Load())
 	sink.Panics.Add(s.Panics.Load())
 }
 
@@ -93,25 +79,15 @@ func WithCache(rc *cache.ResultCache) InferOption {
 	return func(o *InferOp) { o.cache = rc }
 }
 
-// WithPipeline enables pipelined batch production using a worker token from
-// budget (nil means the process-wide parallel.Default()). If no token is
-// free at Open, the operator runs serially.
-func WithPipeline(budget *parallel.Budget) InferOption {
-	return func(o *InferOp) {
-		o.pipeline = true
-		o.budget = budget
-	}
-}
-
 // WithStats adds this operator's counters into sink when the operator
 // closes.
 func WithStats(sink *InferStats) InferOption {
 	return func(o *InferOp) { o.sink = sink }
 }
 
-// WithCancel installs the query's cancellation token: the producer, the
-// consumer's batch wait, the UDF invocation, and single-flight waits all
-// observe it, so a cancelled PREDICT stops within one micro-batch.
+// WithCancel installs the query's cancellation token: the batch pull, the
+// UDF invocation, and single-flight waits all observe it, so a cancelled
+// PREDICT stops within one micro-batch.
 func WithCancel(tok *lifecycle.Token) InferOption {
 	return func(o *InferOp) { o.tok = tok }
 }
@@ -127,7 +103,7 @@ func WithCoalescer(co *Coalescer) InferOption {
 // feature column of its input in micro-batches, emitting each input tuple
 // extended with a prediction column. It is how `PREDICT(model, features)`
 // executes inside a query plan. See the package comment above for the
-// pipelined/cached execution strategy.
+// cached execution strategy.
 type InferOp struct {
 	in      exec.Operator
 	udf     UDF
@@ -136,8 +112,6 @@ type InferOp struct {
 	schema  *table.Schema
 
 	cache     *cache.ResultCache
-	pipeline  bool
-	budget    *parallel.Budget
 	colSrc    exec.ColBatcher // non-nil when the child can batch columnarly
 	tok       *lifecycle.Token
 	co        *Coalescer  // cross-query invocation coalescer (per model)
@@ -145,23 +119,16 @@ type InferOp struct {
 	stats     InferStats  // per-operator counters (StageNote, tests)
 	sink      *InferStats // optional shared sink, added on Close
 
-	// Producer state (pipelined mode); nil channel means serial.
-	batches chan *inferBatch
-	quit    chan struct{}
-	wg      sync.WaitGroup
-	tokens  int  // tokens held against budget
-	piped   bool // a producer ran this Open (sticky until reopen, for StageNote)
-
 	cur    *inferBatch
 	pos    int
 	done   bool
 	closed bool
 }
 
-// inferBatch is one decoded micro-batch flowing producer → consumer. After
-// process(), preds holds all rows' predictions in one batch-sized backing
-// array and predW their width; emitted rows carve disjoint subslices out of
-// it, so the per-row path allocates only the output tuple.
+// inferBatch is one decoded micro-batch. After process(), preds holds all
+// rows' predictions in one batch-sized backing array and predW their width;
+// emitted rows carve disjoint subslices out of it, so the per-row path
+// allocates only the output tuple.
 type inferBatch struct {
 	tuples []table.Tuple
 	feats  []float32
@@ -205,12 +172,6 @@ func (o *InferOp) SetCancel(tok *lifecycle.Token) {
 	exec.SetCancel(o.in, tok)
 }
 
-// Pipelined reports whether this Open drew a worker token and ran a
-// producer goroutine (false before Open, or when the compute budget had no
-// free token). The flag survives Close so EXPLAIN ANALYZE, which profiles
-// after the plan is drained, reports the mode that actually ran.
-func (o *InferOp) Pipelined() bool { return o.piped }
-
 // Stats returns this operator's own counters (independent of any sink).
 func (o *InferOp) Stats() *InferStats { return &o.stats }
 
@@ -220,7 +181,6 @@ func (o *InferOp) Open() error {
 	o.pos = 0
 	o.done = false
 	o.closed = false
-	o.piped = false
 	o.stats = InferStats{}
 	if err := o.in.Open(); err != nil {
 		return err
@@ -237,51 +197,11 @@ func (o *InferOp) Open() error {
 		o.co.Enter()
 		o.coEntered = true
 	}
-	if o.pipeline {
-		budget := o.budget
-		if budget == nil {
-			budget = parallel.Default()
-		}
-		if budget.TryAcquireUpTo(1) == 1 {
-			o.tokens = 1
-			o.piped = true
-			o.budget = budget // release against the budget we drew from
-			o.batches = make(chan *inferBatch, 1)
-			o.quit = make(chan struct{})
-			o.wg.Add(1)
-			go o.produce()
-		}
-	}
 	return nil
 }
 
-// produce is the pipeline's stage-1 goroutine: it pulls and decodes the next
-// batch while the consumer computes over the previous one. It is the only
-// goroutine touching o.in between Open and Close.
-func (o *InferOp) produce() {
-	defer o.wg.Done()
-	for {
-		b := o.pullSafe()
-		select {
-		case o.batches <- b:
-		default:
-			// Consumer still busy: the pipeline is full.
-			o.stats.PipelineFills.Add(1)
-			select {
-			case o.batches <- b:
-			case <-o.quit:
-				return
-			}
-		}
-		if b.eof || b.err != nil {
-			return
-		}
-	}
-}
-
 // pullSafe is pull with panic containment: a panic while decoding the child
-// stream (in the producer goroutine, where it would otherwise kill the
-// process) comes back as the batch's error.
+// stream comes back as the batch's error instead of unwinding the query.
 func (o *InferOp) pullSafe() (b *inferBatch) {
 	defer func() {
 		if perr := lifecycle.AsError(recover()); perr != nil {
@@ -363,29 +283,6 @@ func (o *InferOp) pullColumnar() *inferBatch {
 	return b
 }
 
-// nextBatch hands the consumer its next batch: from the producer channel in
-// pipelined mode, or pulled inline.
-func (o *InferOp) nextBatch() *inferBatch {
-	if o.batches == nil {
-		return o.pullSafe()
-	}
-	select {
-	case b := <-o.batches:
-		return b
-	default:
-		// Producer not ready: the consumer stalls on decode/I/O. A cancelled
-		// query stops stalling immediately; the producer notices the token on
-		// its next tuple and parks on the quit channel until Close.
-		o.stats.PipelineStalls.Add(1)
-		select {
-		case b := <-o.batches:
-			return b
-		case <-o.tok.Done():
-			return &inferBatch{err: o.tok.Cause()}
-		}
-	}
-}
-
 // applyUDF runs the model over rows×width features. A panic in the UDF (a
 // malformed weight, a bug in a registered function) is contained here as a
 // query error rather than killing the server; the cancellation token is
@@ -456,8 +353,7 @@ func (o *InferOp) process(b *inferBatch) error {
 	return o.processCached(b)
 }
 
-// processCached is the stage-2 miss-compaction path; see the package
-// comment.
+// processCached is the miss-compaction path; see the package comment.
 func (o *InferOp) processCached(b *inferBatch) error {
 	rows, w := len(b.tuples), b.width
 	results := make([][]float32, rows)
@@ -590,7 +486,7 @@ func (o *InferOp) Next() (table.Tuple, bool, error) {
 		if o.done {
 			return nil, false, nil
 		}
-		b := o.nextBatch()
+		b := o.pullSafe()
 		if b.err != nil {
 			o.done = true
 			return nil, false, b.err
@@ -622,20 +518,14 @@ func (o *InferOp) ReportStage(s *exec.StageStat) {
 	s.CacheShared = o.stats.Shared.Load()
 }
 
-// StageNote implements exec.Noter: a one-line cache/pipeline summary for
-// EXPLAIN ANALYZE.
+// StageNote implements exec.Noter: a one-line cache summary for EXPLAIN
+// ANALYZE (empty without a cache).
 func (o *InferOp) StageNote() string {
-	h, m, s := o.stats.Hits.Load(), o.stats.Misses.Load(), o.stats.Shared.Load()
-	mode := "serial"
-	if o.Pipelined() {
-		mode = fmt.Sprintf("pipelined fills=%d stalls=%d",
-			o.stats.PipelineFills.Load(), o.stats.PipelineStalls.Load())
-	}
 	if o.cache == nil {
-		return mode
+		return ""
 	}
-	return fmt.Sprintf("%s cache hits=%d misses=%d shared=%d model-batches=%d",
-		mode, h, m, s, o.stats.UDFCalls.Load())
+	return fmt.Sprintf("cache hits=%d misses=%d shared=%d model-batches=%d",
+		o.stats.Hits.Load(), o.stats.Misses.Load(), o.stats.Shared.Load(), o.stats.UDFCalls.Load())
 }
 
 // Close implements exec.Operator.
@@ -644,21 +534,6 @@ func (o *InferOp) Close() error {
 		return nil
 	}
 	o.closed = true
-	if o.batches != nil {
-		close(o.quit)
-		// Unblock a producer waiting to hand off a batch.
-		select {
-		case <-o.batches:
-		default:
-		}
-		o.wg.Wait()
-		o.batches = nil
-		o.quit = nil
-	}
-	if o.tokens > 0 {
-		o.budget.Release(o.tokens)
-		o.tokens = 0
-	}
 	if o.coEntered {
 		o.co.Leave()
 		o.coEntered = false

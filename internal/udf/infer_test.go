@@ -9,9 +9,7 @@ import (
 
 	"tensorbase/internal/cache"
 	"tensorbase/internal/exec"
-	"tensorbase/internal/memlimit"
 	"tensorbase/internal/nn"
-	"tensorbase/internal/parallel"
 	"tensorbase/internal/table"
 	"tensorbase/internal/tensor"
 )
@@ -55,112 +53,69 @@ func collectPreds(t *testing.T, op exec.Operator) [][]float32 {
 	return out
 }
 
-func TestInferOpPipelinedBitIdenticalToSerial(t *testing.T) {
-	rng := rand.New(rand.NewSource(40))
-	m := nn.FraudFC(rng, 32)
-	rows := featRows(rng, 103, 28) // several batches, last one ragged
-
-	serialOp, err := NewInferOp(exec.NewMemScan(featSchema(), rows), NewModelUDF(m, nil), "features", 8)
-	if err != nil {
-		t.Fatal(err)
-	}
-	serial := collectPreds(t, serialOp)
-
-	budget := parallel.NewBudget(2)
-	pipeOp, err := NewInferOp(exec.NewMemScan(featSchema(), rows), NewModelUDF(m, nil), "features", 8,
-		WithPipeline(budget))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := pipeOp.Open(); err != nil {
-		t.Fatal(err)
-	}
-	if !pipeOp.Pipelined() {
-		t.Fatal("expected a producer goroutine with a free token")
-	}
-	var pipelined [][]float32
-	for {
-		tp, ok, err := pipeOp.Next()
-		if err != nil {
-			t.Fatal(err)
-		}
-		if !ok {
-			break
-		}
-		pipelined = append(pipelined, tp[len(tp)-1].Vec)
-	}
-	if err := pipeOp.Close(); err != nil {
-		t.Fatal(err)
-	}
-	if budget.InUse() != 0 {
-		t.Fatalf("pipeline leaked %d tokens", budget.InUse())
-	}
-
-	if len(pipelined) != len(serial) {
-		t.Fatalf("pipelined %d rows, serial %d", len(pipelined), len(serial))
-	}
-	for i := range serial {
-		if len(serial[i]) != len(pipelined[i]) {
-			t.Fatalf("row %d: width %d vs %d", i, len(serial[i]), len(pipelined[i]))
-		}
-		for j := range serial[i] {
-			if serial[i][j] != pipelined[i][j] {
-				t.Fatalf("row %d[%d]: pipelined %v != serial %v (must be bit-identical)",
-					i, j, pipelined[i][j], serial[i][j])
-			}
-		}
-	}
+// failingChild yields its rows, then fails every later Next with err, and
+// counts Close calls.
+type failingChild struct {
+	*exec.MemScan
+	err    error
+	closes int
 }
 
-func TestInferOpPipelineFallsBackSerialWithoutTokens(t *testing.T) {
-	rng := rand.New(rand.NewSource(41))
+func (f *failingChild) Next() (table.Tuple, bool, error) {
+	t, ok, err := f.MemScan.Next()
+	if err != nil || !ok {
+		return nil, false, f.err
+	}
+	return t, true, nil
+}
+
+func (f *failingChild) Close() error {
+	f.closes++
+	return f.MemScan.Close()
+}
+
+// TestInferOpChildErrorPropagatesAndCloses: a child error mid-stream
+// surfaces from Next after the earlier batches' rows, and Close closes the
+// child exactly once, even when called twice.
+func TestInferOpChildErrorPropagatesAndCloses(t *testing.T) {
+	rng := rand.New(rand.NewSource(42))
 	m := nn.FraudFC(rng, 16)
-	rows := featRows(rng, 10, 28)
-	budget := parallel.NewBudget(1)
-	budget.Acquire(1) // drain the budget
-	defer budget.Release(1)
-	op, err := NewInferOp(exec.NewMemScan(featSchema(), rows), NewModelUDF(m, nil), "features", 4,
-		WithPipeline(budget))
+	boom := errors.New("disk on fire")
+	child := &failingChild{MemScan: exec.NewMemScan(featSchema(), featRows(rng, 10, 28)), err: boom}
+	op, err := NewInferOp(child, NewModelUDF(m, nil), "features", 4)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if err := op.Open(); err != nil {
 		t.Fatal(err)
 	}
-	if op.Pipelined() {
-		t.Fatal("must degrade to serial when the budget is exhausted")
-	}
 	n := 0
 	for {
 		_, ok, err := op.Next()
 		if err != nil {
-			t.Fatal(err)
+			if !errors.Is(err, boom) {
+				t.Fatalf("err = %v, want the child's error", err)
+			}
+			break
 		}
 		if !ok {
-			break
+			t.Fatal("stream ended without surfacing the child error")
 		}
 		n++
 	}
-	if err := op.Close(); err != nil {
-		t.Fatal(err)
+	if n != 8 {
+		t.Fatalf("emitted %d rows before the error, want the two full batches (8)", n)
 	}
-	if n != 10 {
-		t.Fatalf("serial fallback produced %d rows", n)
+	if _, ok, err := op.Next(); ok || err != nil {
+		t.Fatalf("Next after the error: ok=%v err=%v, want end of stream", ok, err)
 	}
-}
-
-func TestInferOpPipelinedErrorPropagatesAndCloses(t *testing.T) {
-	rng := rand.New(rand.NewSource(42))
-	m := nn.FraudFC(rng, 512)
-	rows := featRows(rng, 50, 28)
-	op, err := NewInferOp(exec.NewMemScan(featSchema(), rows),
-		NewModelUDF(m, memlimit.NewBudget(1024)), "features", 50,
-		WithPipeline(parallel.NewBudget(2)))
-	if err != nil {
-		t.Fatal(err)
+	for i := 0; i < 2; i++ {
+		if err := op.Close(); err != nil {
+			t.Fatal(err)
+		}
 	}
-	if _, err := exec.Collect(op); !errors.Is(err, memlimit.ErrOOM) {
-		t.Fatalf("err = %v, want ErrOOM", err)
+	if child.closes != 1 {
+		t.Fatalf("child closed %d times, want 1", child.closes)
 	}
 }
 
@@ -384,7 +339,7 @@ func TestInferOpConcurrentQueriesShareCache(t *testing.T) {
 		go func(w int) {
 			defer wg.Done()
 			op, err := NewInferOp(exec.NewMemScan(featSchema(), rows), u, "features", 8,
-				WithCache(rc), WithPipeline(parallel.NewBudget(2)), WithStats(sink))
+				WithCache(rc), WithStats(sink))
 			if err != nil {
 				errs[w] = err
 				return

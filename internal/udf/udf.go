@@ -13,7 +13,6 @@ package udf
 
 import (
 	"fmt"
-	"sync"
 
 	"tensorbase/internal/lifecycle"
 	"tensorbase/internal/memlimit"
@@ -23,7 +22,7 @@ import (
 
 // UDF is a batch tensor function registered with the database.
 type UDF interface {
-	// Name is the UDF's registry key.
+	// Name identifies the UDF in error messages.
 	Name() string
 	// Apply transforms a batch.
 	Apply(in *tensor.Tensor) (*tensor.Tensor, error)
@@ -47,7 +46,11 @@ func ApplyCancel(u UDF, tok *lifecycle.Token, in *tensor.Tensor) (*tensor.Tensor
 	return u.Apply(in)
 }
 
-// ModelUDF fuses a whole model forward pass into a single UDF.
+// ModelUDF fuses a whole model forward pass into a single UDF. Wrapping the
+// int8-resident twin of a model (see nn.QuantizeResident) gives the
+// quantized serving UDF: weights stay packed int8, each batch's activations
+// quantize per row on entry, and the peak-footprint estimate reflects the
+// smaller resident weights.
 type ModelUDF struct {
 	model  *nn.Model
 	budget *memlimit.Budget
@@ -74,54 +77,6 @@ func (u *ModelUDF) Model() *nn.Model { return u.model }
 // contained here: it comes back as a *lifecycle.PanicError query error, the
 // reservation is released, and the database process survives.
 func (u *ModelUDF) Apply(in *tensor.Tensor) (out *tensor.Tensor, err error) {
-	batch := in.Dim(0)
-	peak, merr := u.model.MaxOpBytes(batch)
-	if merr != nil {
-		return nil, fmt.Errorf("udf: %s: %w", u.Name(), merr)
-	}
-	res, rerr := u.budget.TryReserve(peak)
-	if rerr != nil {
-		return nil, fmt.Errorf("udf: %s batch %d: %w", u.Name(), batch, rerr)
-	}
-	defer res.Close()
-	defer func() {
-		if perr := lifecycle.AsError(recover()); perr != nil {
-			out, err = nil, fmt.Errorf("udf: %s: %w", u.Name(), perr)
-		}
-	}()
-	return u.model.Forward(in), nil
-}
-
-// QuantizedUDF fuses the int8-resident twin of a model (see
-// nn.QuantizeResident) into a single UDF: weights stay packed int8, each
-// batch's activations quantize per row on entry, and the forward pass runs
-// the packed int8 GEMM. Per-row activation scales keep its outputs
-// batch-composition independent, so caching and coalescing work unchanged.
-type QuantizedUDF struct {
-	model  *nn.Model // the resident quantized twin
-	owner  string    // the source model's name (registry key suffix)
-	budget *memlimit.Budget
-}
-
-// NewQuantizedUDF wraps the quantized twin q of the model named owner,
-// charged against budget (nil means unlimited).
-func NewQuantizedUDF(q *nn.Model, owner string, budget *memlimit.Budget) *QuantizedUDF {
-	if budget == nil {
-		budget = memlimit.Unlimited()
-	}
-	return &QuantizedUDF{model: q, owner: owner, budget: budget}
-}
-
-// Name implements UDF.
-func (u *QuantizedUDF) Name() string { return "quantized:" + u.owner }
-
-// Model returns the resident quantized twin.
-func (u *QuantizedUDF) Model() *nn.Model { return u.model }
-
-// Apply implements UDF with the same reservation and panic-containment
-// contract as ModelUDF.Apply; the peak-footprint estimate reflects the
-// quantized layers' smaller resident weights.
-func (u *QuantizedUDF) Apply(in *tensor.Tensor) (out *tensor.Tensor, err error) {
 	batch := in.Dim(0)
 	peak, merr := u.model.MaxOpBytes(batch)
 	if merr != nil {
@@ -176,51 +131,4 @@ func (u *OperatorUDF) Apply(in *tensor.Tensor) (out *tensor.Tensor, err error) {
 		}
 	}()
 	return u.layer.Forward(in), nil
-}
-
-// Registry is a thread-safe name → UDF map, the database's UDF catalog.
-type Registry struct {
-	mu   sync.RWMutex
-	udfs map[string]UDF
-}
-
-// NewRegistry returns an empty registry.
-func NewRegistry() *Registry { return &Registry{udfs: make(map[string]UDF)} }
-
-// Register adds u, rejecting duplicate names.
-func (r *Registry) Register(u UDF) error {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	if _, dup := r.udfs[u.Name()]; dup {
-		return fmt.Errorf("udf: %q already registered", u.Name())
-	}
-	r.udfs[u.Name()] = u
-	return nil
-}
-
-// Unregister removes the named UDF; absent names are a no-op (a model
-// may have no quantized twin).
-func (r *Registry) Unregister(name string) {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	delete(r.udfs, name)
-}
-
-// Lookup returns the named UDF.
-func (r *Registry) Lookup(name string) (UDF, bool) {
-	r.mu.RLock()
-	defer r.mu.RUnlock()
-	u, ok := r.udfs[name]
-	return u, ok
-}
-
-// Names returns the registered UDF names (unordered).
-func (r *Registry) Names() []string {
-	r.mu.RLock()
-	defer r.mu.RUnlock()
-	out := make([]string, 0, len(r.udfs))
-	for n := range r.udfs {
-		out = append(out, n)
-	}
-	return out
 }

@@ -78,28 +78,6 @@ func TestOperatorUDF(t *testing.T) {
 	}
 }
 
-func TestRegistry(t *testing.T) {
-	rng := rand.New(rand.NewSource(5))
-	r := NewRegistry()
-	u := NewModelUDF(nn.FraudFC(rng, 16), nil)
-	if err := r.Register(u); err != nil {
-		t.Fatal(err)
-	}
-	if err := r.Register(u); err == nil {
-		t.Fatal("duplicate registration must error")
-	}
-	got, ok := r.Lookup(u.Name())
-	if !ok || got != UDF(u) {
-		t.Fatal("lookup failed")
-	}
-	if _, ok := r.Lookup("ghost"); ok {
-		t.Fatal("ghost lookup must fail")
-	}
-	if len(r.Names()) != 1 {
-		t.Fatalf("Names = %v", r.Names())
-	}
-}
-
 func featRows(rng *rand.Rand, n, width int) []table.Tuple {
 	rows := make([]table.Tuple, n)
 	for i := range rows {
