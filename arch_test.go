@@ -94,3 +94,30 @@ func TestServingTierLayering(t *testing.T) {
 		}
 	}
 }
+
+// TestFrameCodecIsALeaf: internal/frame, the codec under the WAL, the
+// replication stream and the shard RPC, depends on nothing internal but
+// the fault model its Conn sender applies.
+func TestFrameCodecIsALeaf(t *testing.T) {
+	imports := internalImports(t)["frame"]
+	if imports == nil {
+		t.Fatal("internal/frame not found")
+	}
+	for imp := range imports {
+		if imp != "fault" {
+			t.Errorf("internal/frame imports internal/%s; only internal/fault is allowed", imp)
+		}
+	}
+}
+
+// TestServingTiersSkipTheConnector: internal/connector is the DL-centric
+// baseline's simulated cross-system wire. The serving tiers carry their
+// own bytes over internal/frame.
+func TestServingTiersSkipTheConnector(t *testing.T) {
+	all := internalImports(t)
+	for tier := range servingTiers {
+		if all[tier]["connector"] {
+			t.Errorf("internal/%s imports internal/connector", tier)
+		}
+	}
+}

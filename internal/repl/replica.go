@@ -11,6 +11,7 @@ import (
 
 	"tensorbase/internal/blockstore"
 	"tensorbase/internal/engine"
+	"tensorbase/internal/frame"
 	"tensorbase/internal/lifecycle"
 	"tensorbase/internal/retry"
 	"tensorbase/internal/wal"
@@ -273,87 +274,49 @@ func (r *Replica) run() {
 // stream runs one connection: hello with the applied CSN, then verify and
 // apply frames until the link breaks or goes silent.
 func (r *Replica) stream(conn net.Conn) error {
-	if err := writeFrame(conn, encodeHello(r.AppliedCSN())); err != nil {
+	fc := frame.NewConn(conn, nil)
+	if err := fc.Send(encodeCSN(msgHello, r.AppliedCSN())); err != nil {
 		return err
 	}
 	r.connected.Store(true)
 	r.lastMsg.Store(time.Now().UnixNano())
 	stale := 4 * r.opts.HeartbeatInterval
-	var lastSeq uint64
 	for {
 		conn.SetReadDeadline(time.Now().Add(stale))
-		payload, err := readFrame(conn)
+		payload, err := fc.Recv()
 		if err != nil {
 			return err
 		}
 		r.lastMsg.Store(time.Now().UnixNano())
-		var seq uint64
+		var csn uint64
 		switch payload[0] {
 		case msgHeartbeat:
-			var csn uint64
-			if seq, csn, err = decodeHeartbeat(payload); err != nil {
+			if csn, err = decodeCSN(msgHeartbeat, payload); err != nil {
 				return err
 			}
-			if dup, err := checkSeq(&lastSeq, seq); err != nil || dup {
-				if err != nil {
-					return err
-				}
-				continue
-			}
-			r.primaryCSN.Store(csn)
 		case msgGroup:
 			g, err := decodeGroup(payload)
 			if err != nil {
 				return err
 			}
-			if dup, err := checkSeq(&lastSeq, g.Seq); err != nil || dup {
-				if err != nil {
-					return err
-				}
-				continue
-			}
 			if err := r.applyGroup(g); err != nil {
 				return err
 			}
-			if g.CSN > r.primaryCSN.Load() {
-				r.primaryCSN.Store(g.CSN)
-			}
+			csn = max(g.CSN, r.primaryCSN.Load())
 		case msgResync:
 			m, err := decodeResync(payload)
 			if err != nil {
 				return err
 			}
-			if dup, err := checkSeq(&lastSeq, m.Seq); err != nil || dup {
-				if err != nil {
-					return err
-				}
-				continue
-			}
-			if err := r.applyResync(conn, m, &lastSeq); err != nil {
+			if err := r.applyResync(fc, conn, m); err != nil {
 				return err
 			}
-			if m.CSN > r.primaryCSN.Load() {
-				r.primaryCSN.Store(m.CSN)
-			}
+			csn = max(m.CSN, r.primaryCSN.Load())
 		default:
-			return fmt.Errorf("%w: unknown message type %d", errStreamBroken, payload[0])
+			return fmt.Errorf("%w: unknown message type %d", frame.ErrBroken, payload[0])
 		}
+		r.primaryCSN.Store(csn)
 	}
-}
-
-// checkSeq enforces in-order delivery: a duplicate (seq ≤ last) is
-// discarded silently — the sender's fault injector duplicates frames — and
-// a gap or reorder breaks the stream so the replica re-hellos from its
-// applied CSN.
-func checkSeq(last *uint64, seq uint64) (dup bool, err error) {
-	switch {
-	case seq <= *last:
-		return true, nil
-	case seq != *last+1:
-		return false, fmt.Errorf("%w: seq %d after %d", errStreamBroken, seq, *last)
-	}
-	*last = seq
-	return false, nil
 }
 
 func (r *Replica) applyGroup(g *groupMsg) error {
@@ -362,7 +325,7 @@ func (r *Replica) applyGroup(g *groupMsg) error {
 	for i, rb := range g.Recs {
 		rec, err := wal.DecodeRecord(rb)
 		if err != nil {
-			return fmt.Errorf("%w: corrupt record in group %d: %v", errStreamBroken, g.CSN, err)
+			return fmt.Errorf("%w: corrupt record in group %d: %v", frame.ErrBroken, g.CSN, err)
 		}
 		recs[i] = rec
 	}
@@ -380,7 +343,7 @@ func (r *Replica) applyGroup(g *groupMsg) error {
 // the engine. The synthesized RecBlock records go through ApplyReplicated
 // with the snapshot, so the replica's own WAL is self-contained: a crash
 // mid-apply recovers without the primary.
-func (r *Replica) applyResync(conn net.Conn, m *resyncMsg, lastSeq *uint64) error {
+func (r *Replica) applyResync(fc *frame.Conn, conn net.Conn, m *resyncMsg) error {
 	db := r.db.Load()
 	manifests := make([][]byte, len(m.Models))
 	for i, mb := range m.Models {
@@ -388,13 +351,13 @@ func (r *Replica) applyResync(conn net.Conn, m *resyncMsg, lastSeq *uint64) erro
 	}
 	missing, err := db.MissingBlocks(manifests)
 	if err != nil {
-		return fmt.Errorf("%w: resync %d: %v", errStreamBroken, m.CSN, err)
+		return fmt.Errorf("%w: resync %d: %v", frame.ErrBroken, m.CSN, err)
 	}
-	if err := writeFrame(conn, encodeBlockReq(missing)); err != nil {
+	if err := fc.Send(encodeBlockReq(missing)); err != nil {
 		return err
 	}
 	conn.SetReadDeadline(time.Now().Add(4 * r.opts.HeartbeatInterval))
-	payload, err := readFrame(conn)
+	payload, err := fc.Recv()
 	conn.SetReadDeadline(time.Time{})
 	if err != nil {
 		return err
@@ -404,12 +367,6 @@ func (r *Replica) applyResync(conn net.Conn, m *resyncMsg, lastSeq *uint64) erro
 	if err != nil {
 		return err
 	}
-	if dup, err := checkSeq(lastSeq, blocks.Seq); err != nil || dup {
-		if err != nil {
-			return err
-		}
-		return fmt.Errorf("%w: duplicate blocks reply", errStreamBroken)
-	}
 	want := make(map[blockstore.Hash]bool, len(missing))
 	for _, h := range missing {
 		want[h] = true
@@ -418,22 +375,22 @@ func (r *Replica) applyResync(conn net.Conn, m *resyncMsg, lastSeq *uint64) erro
 	for i, raw := range blocks.Data {
 		data, err := blockstore.Decode(raw)
 		if err != nil {
-			return fmt.Errorf("%w: resync block: %v", errStreamBroken, err)
+			return fmt.Errorf("%w: resync block: %v", frame.ErrBroken, err)
 		}
 		h := blockstore.HashOf(data)
 		if h != blocks.Hashes[i] || !want[h] {
-			return fmt.Errorf("%w: resync block %s not requested or content mismatch", errStreamBroken, blocks.Hashes[i])
+			return fmt.Errorf("%w: resync block %s not requested or content mismatch", frame.ErrBroken, blocks.Hashes[i])
 		}
 		delete(want, h)
 		recs = append(recs, &wal.Record{Type: wal.RecBlock, CSN: m.CSN, Data: raw})
 	}
 	if len(want) != 0 {
-		return fmt.Errorf("%w: resync reply missing %d requested blocks", errStreamBroken, len(want))
+		return fmt.Errorf("%w: resync reply missing %d requested blocks", frame.ErrBroken, len(want))
 	}
 	for _, rb := range m.Recs {
 		rec, err := wal.DecodeRecord(rb)
 		if err != nil {
-			return fmt.Errorf("%w: corrupt record in resync %d: %v", errStreamBroken, m.CSN, err)
+			return fmt.Errorf("%w: corrupt record in resync %d: %v", frame.ErrBroken, m.CSN, err)
 		}
 		recs = append(recs, rec)
 	}
@@ -469,5 +426,5 @@ func (r *Replica) crashReopen(cause error) error {
 		return r.dead
 	}
 	r.db.Store(db)
-	return fmt.Errorf("%w: %v", errStreamBroken, cause)
+	return fmt.Errorf("%w: %v", frame.ErrBroken, cause)
 }

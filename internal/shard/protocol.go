@@ -6,12 +6,13 @@ import (
 	"fmt"
 	"math"
 
+	"tensorbase/internal/frame"
 	"tensorbase/internal/table"
 )
 
 // Wire protocol between a shard client and a shard server, carried as
-// opaque payloads inside connector.FrameConn frames (which add sequencing
-// and CRC). One request per connection: the client sends a single request
+// opaque payloads inside frame.Conn frames (which add sequencing and
+// CRC). One request per connection: the client sends a single request
 // frame, the server streams response frames, and the connection closes.
 // That shape is what makes fault recovery trivial — any break mid-stream
 // means "redial and resend the whole request", with no resumption state.
@@ -48,39 +49,25 @@ const (
 // under the transport's frame cap.
 const rowsPerFrame = 256
 
-func appendBytes(buf, b []byte) []byte {
-	buf = binary.AppendUvarint(buf, uint64(len(b)))
-	return append(buf, b...)
-}
-
-func readBytes(buf []byte) ([]byte, []byte, error) {
-	n, sz := binary.Uvarint(buf)
-	if sz <= 0 || uint64(len(buf)-sz) < n {
-		return nil, nil, errors.New("shard: truncated field")
-	}
-	return buf[sz : sz+int(n) : sz+int(n)], buf[sz+int(n):], nil
-}
-
 // encodeSchema serialises a schema: uvarint column count, then per column
 // a length-prefixed name and one type byte.
 func encodeSchema(buf []byte, s *table.Schema) []byte {
 	buf = binary.AppendUvarint(buf, uint64(s.Len()))
 	for _, c := range s.Cols {
-		buf = appendBytes(buf, []byte(c.Name))
+		buf = frame.AppendBytes(buf, []byte(c.Name))
 		buf = append(buf, byte(c.Type))
 	}
 	return buf
 }
 
 func decodeSchema(buf []byte) (*table.Schema, []byte, error) {
-	n, sz := binary.Uvarint(buf)
-	if sz <= 0 || n > 1<<16 {
+	n, buf, err := frame.ReadUvarint(buf)
+	if err != nil || n > 1<<16 {
 		return nil, nil, errors.New("shard: bad schema header")
 	}
-	buf = buf[sz:]
 	cols := make([]table.Column, 0, n)
 	for i := uint64(0); i < n; i++ {
-		name, rest, err := readBytes(buf)
+		name, rest, err := frame.ReadBytes(buf)
 		if err != nil {
 			return nil, nil, err
 		}
@@ -107,20 +94,19 @@ func encodeRowsFrame(s *table.Schema, rows []table.Tuple) ([]byte, error) {
 		if err != nil {
 			return nil, err
 		}
-		buf = appendBytes(buf, rec)
+		buf = frame.AppendBytes(buf, rec)
 	}
 	return buf, nil
 }
 
 func decodeRowsFrame(s *table.Schema, buf []byte) ([]table.Tuple, error) {
-	n, sz := binary.Uvarint(buf)
-	if sz <= 0 || n > rowsPerFrame {
+	n, buf, err := frame.ReadUvarint(buf)
+	if err != nil || n > rowsPerFrame {
 		return nil, errors.New("shard: bad rows frame")
 	}
-	buf = buf[sz:]
 	rows := make([]table.Tuple, 0, n)
 	for i := uint64(0); i < n; i++ {
-		rec, rest, err := readBytes(buf)
+		rec, rest, err := frame.ReadBytes(buf)
 		if err != nil {
 			return nil, err
 		}
@@ -199,8 +185,8 @@ func encodeExecReq(sqlText string) []byte {
 func encodeNearestReq(tbl, col string, query []float32, k int, floor uint64) []byte {
 	buf := []byte{reqNearest}
 	buf = binary.LittleEndian.AppendUint64(buf, floor)
-	buf = appendBytes(buf, []byte(tbl))
-	buf = appendBytes(buf, []byte(col))
+	buf = frame.AppendBytes(buf, []byte(tbl))
+	buf = frame.AppendBytes(buf, []byte(col))
 	buf = binary.AppendUvarint(buf, uint64(k))
 	buf = binary.AppendUvarint(buf, uint64(len(query)))
 	for _, f := range query {
@@ -215,24 +201,24 @@ func decodeNearestReq(buf []byte) (tbl, col string, query []float32, k int, floo
 	}
 	floor = binary.LittleEndian.Uint64(buf)
 	buf = buf[8:]
-	tb, buf, err := readBytes(buf)
+	tb, buf, err := frame.ReadBytes(buf)
 	if err != nil {
 		return "", "", nil, 0, 0, err
 	}
-	cb, buf, err := readBytes(buf)
+	cb, buf, err := frame.ReadBytes(buf)
 	if err != nil {
 		return "", "", nil, 0, 0, err
 	}
-	ku, sz := binary.Uvarint(buf)
-	if sz <= 0 || ku > 1<<20 {
+	ku, buf, err := frame.ReadUvarint(buf)
+	if err != nil || ku > 1<<20 {
 		return "", "", nil, 0, 0, errors.New("shard: bad k")
 	}
-	buf = buf[sz:]
-	dim, sz := binary.Uvarint(buf)
-	if sz <= 0 || uint64(len(buf)-sz) != 4*dim {
+	// Divide rather than multiply, so a huge dim cannot wrap to a small
+	// byte count and pass the check.
+	dim, buf, err := frame.ReadUvarint(buf)
+	if err != nil || len(buf)%4 != 0 || dim != uint64(len(buf)/4) {
 		return "", "", nil, 0, 0, errors.New("shard: bad query vector")
 	}
-	buf = buf[sz:]
 	query = make([]float32, dim)
 	for i := range query {
 		query[i] = math.Float32frombits(binary.LittleEndian.Uint32(buf[4*i:]))
@@ -252,11 +238,10 @@ func encodeDistsFrame(dists []float64) []byte {
 }
 
 func decodeDistsFrame(buf []byte) ([]float64, error) {
-	n, sz := binary.Uvarint(buf)
-	if sz <= 0 || uint64(len(buf)-sz) != 8*n {
+	n, buf, err := frame.ReadUvarint(buf)
+	if err != nil || len(buf)%8 != 0 || n != uint64(len(buf)/8) {
 		return nil, errors.New("shard: bad distances frame")
 	}
-	buf = buf[sz:]
 	dists := make([]float64, n)
 	for i := range dists {
 		dists[i] = math.Float64frombits(binary.LittleEndian.Uint64(buf[8*i:]))
@@ -274,18 +259,21 @@ func encodeLoadModelReq(blob []byte, accuracy float64) []byte {
 // encodeVIndexReq requests an ANN index build.
 func encodeVIndexReq(tbl, col string) []byte {
 	buf := []byte{reqVIndex}
-	buf = appendBytes(buf, []byte(tbl))
-	return appendBytes(buf, []byte(col))
+	buf = frame.AppendBytes(buf, []byte(tbl))
+	return frame.AppendBytes(buf, []byte(col))
 }
 
 func decodeVIndexReq(buf []byte) (tbl, col string, err error) {
-	tb, buf, err := readBytes(buf)
+	tb, buf, err := frame.ReadBytes(buf)
 	if err != nil {
 		return "", "", err
 	}
-	cb, _, err := readBytes(buf)
+	cb, buf, err := frame.ReadBytes(buf)
 	if err != nil {
 		return "", "", err
+	}
+	if len(buf) != 0 {
+		return "", "", errors.New("shard: trailing vector index request bytes")
 	}
 	return string(tb), string(cb), nil
 }

@@ -7,8 +7,8 @@ import (
 	"net"
 	"time"
 
-	"tensorbase/internal/connector"
 	"tensorbase/internal/engine"
+	"tensorbase/internal/frame"
 	"tensorbase/internal/nn"
 	"tensorbase/internal/table"
 )
@@ -75,7 +75,7 @@ func (n *RemoteNode) attempt(ctx context.Context, req []byte) (resp *wireResp, a
 		deadline = d
 	}
 	conn.SetDeadline(deadline)
-	fc := connector.NewFrameConn(conn, nil)
+	fc := frame.NewConn(conn, nil)
 	if err := fc.Send(req); err != nil {
 		return nil, nil, err
 	}

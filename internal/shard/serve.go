@@ -9,14 +9,14 @@ import (
 	"sync"
 	"sync/atomic"
 
-	"tensorbase/internal/connector"
 	"tensorbase/internal/fault"
+	"tensorbase/internal/frame"
 	"tensorbase/internal/nn"
 	"tensorbase/internal/table"
 )
 
 // Server exposes one shard node over a listener: one request per
-// connection, responses streamed as FrameConn frames through an optional
+// connection, responses streamed as frame.Conn frames through an optional
 // fault.Link (drops, duplicates, reorders, partitions on the response
 // path — the direction whose loss a read client must survive by retrying).
 type Server struct {
@@ -65,15 +65,15 @@ func (s *Server) acceptLoop() {
 
 // sendRows streams tuples in bounded frames; a transport error abandons
 // the stream (the client's sequence check detects the break and retries).
-func sendRows(fc *connector.FrameConn, schema *table.Schema, rows []table.Tuple) bool {
+func sendRows(fc *frame.Conn, schema *table.Schema, rows []table.Tuple) bool {
 	for off := 0; off < len(rows); off += rowsPerFrame {
 		end := min(off+rowsPerFrame, len(rows))
-		frame, err := encodeRowsFrame(schema, rows[off:end])
+		payload, err := encodeRowsFrame(schema, rows[off:end])
 		if err != nil {
 			fc.Send(encodeErr(err))
 			return false
 		}
-		if fc.Send(frame) != nil {
+		if fc.Send(payload) != nil {
 			return false
 		}
 	}
@@ -82,7 +82,7 @@ func sendRows(fc *connector.FrameConn, schema *table.Schema, rows []table.Tuple)
 
 // serveConn handles one request/response exchange.
 func (s *Server) serveConn(conn net.Conn) {
-	fc := connector.NewFrameConn(conn, s.link)
+	fc := frame.NewConn(conn, s.link)
 	req, err := fc.Recv()
 	if err != nil {
 		return

@@ -1,6 +1,6 @@
 // Package wal is the write-ahead log behind the lock-free serving path:
-// an append-only redo log of tuple and catalog mutations, CRC-framed like
-// the connector wire protocol, with group commit (one fsync absorbs every
+// an append-only redo log of tuple and catalog mutations, one CRC-checked
+// frame (internal/frame) per record, with group commit (one fsync absorbs every
 // commit that arrived while the previous fsync was in flight) and
 // replay-on-open recovery.
 //
@@ -17,7 +17,6 @@ import (
 	"encoding/binary"
 	"errors"
 	"fmt"
-	"hash/crc32"
 	"io"
 	"math"
 	"os"
@@ -26,6 +25,7 @@ import (
 	"time"
 
 	"tensorbase/internal/fault"
+	"tensorbase/internal/frame"
 )
 
 // Fault points, in the order a record travels through the log. Tests
@@ -103,17 +103,10 @@ type Stats struct {
 	Truncates uint64 // checkpoint truncations
 }
 
-// frame layout: u32 length of (type+payload) | type | payload | u32 CRC32-C
-// over (type+payload). A length of 0 or beyond maxFrame ends the replay
-// prefix, as does a CRC mismatch or a short read.
-const (
-	frameOverhead = 4 + 4 // length prefix + CRC tail
-	// maxFrame bounds one record: a tuple is at most a 32KiB page, schemas
-	// and names are tiny. Anything larger in the length field is damage.
-	maxFrame = 1 << 20
-)
-
-var castagnoli = crc32.MakeTable(crc32.Castagnoli)
+// maxFrame bounds one record, the payload of one frame (type | CSN |
+// type-specific fields): a tuple is at most a 32KiB page, schemas and names
+// are tiny. Anything larger in the length field is damage.
+const maxFrame = 1 << 20
 
 // ErrClosed is returned by operations on a closed log.
 var ErrClosed = errors.New("wal: log closed")
@@ -161,7 +154,7 @@ func Open(path string, inj *fault.Injector) (*Log, error) {
 	}
 	l := &Log{f: f, path: path, faults: inj}
 	l.syncCond = sync.NewCond(&l.syncMu)
-	valid, err := l.scanValidPrefix()
+	valid, err := l.scan(nil)
 	if err != nil {
 		f.Close()
 		return nil, err
@@ -192,75 +185,52 @@ func Open(path string, inj *fault.Injector) (*Log, error) {
 	return l, nil
 }
 
-// scanValidPrefix walks frames from the start and returns the byte length
-// of the longest prefix of whole, CRC-valid frames.
-func (l *Log) scanValidPrefix() (uint64, error) {
+// scan reads the log from the start, passing each record to fn (if
+// non-nil), and returns the byte length of the longest prefix of whole,
+// CRC-valid, well-formed frames. Damage or a torn frame ends the prefix;
+// any other read error, or an error from fn, is returned.
+func (l *Log) scan(fn func(*Record) error) (uint64, error) {
 	if _, err := l.f.Seek(0, io.SeekStart); err != nil {
 		return 0, fmt.Errorf("wal: seeking %s: %w", l.path, err)
 	}
 	r := bufio.NewReader(l.f)
 	var valid uint64
-	var hdr [4]byte
 	for {
-		if _, err := io.ReadFull(r, hdr[:]); err != nil {
-			return valid, nil // clean EOF or torn length prefix
-		}
-		n := binary.LittleEndian.Uint32(hdr[:])
-		if n == 0 || n > maxFrame {
+		payload, err := frame.Read(r, maxFrame)
+		if err == io.EOF || err == io.ErrUnexpectedEOF || errors.Is(err, frame.ErrBroken) {
 			return valid, nil
 		}
-		body := make([]byte, n+4)
-		if _, err := io.ReadFull(r, body); err != nil {
-			return valid, nil // torn frame
+		if err != nil {
+			return valid, fmt.Errorf("wal: reading %s: %w", l.path, err)
 		}
-		sum := binary.LittleEndian.Uint32(body[n:])
-		if crc32.Checksum(body[:n], castagnoli) != sum {
-			return valid, nil // corrupt frame ends the prefix
-		}
-		if _, err := decodeRecord(body[:n]); err != nil {
+		rec, err := decodeRecord(payload)
+		if err != nil {
 			return valid, nil // structurally invalid record
 		}
-		valid += uint64(frameOverhead) + uint64(n)
+		if fn != nil {
+			if err := fn(rec); err != nil {
+				return valid, err
+			}
+		}
+		valid += uint64(frame.Overhead + len(payload))
 	}
 }
 
 // Replay streams every record in the valid prefix, in append order, to fn.
 // It is called once at recovery, before any concurrent use of the log.
 func (l *Log) Replay(fn func(*Record) error) error {
-	pos, err := l.f.Seek(0, io.SeekStart)
-	if err != nil || pos != 0 {
-		return fmt.Errorf("wal: seeking %s: %w", l.path, err)
-	}
 	defer l.f.Seek(int64(l.appendLSN), io.SeekStart)
-	r := bufio.NewReader(io.LimitReader(l.f, int64(l.appendLSN)))
-	var hdr [4]byte
-	for {
-		if _, err := io.ReadFull(r, hdr[:]); err != nil {
-			if err == io.EOF {
-				return nil
-			}
-			return fmt.Errorf("wal: replay read: %w", err)
-		}
+	valid, err := l.scan(func(rec *Record) error {
 		if err := l.faults.Check(FPReplay); err != nil {
 			return err
 		}
-		n := binary.LittleEndian.Uint32(hdr[:])
-		body := make([]byte, n+4)
-		if _, err := io.ReadFull(r, body); err != nil {
-			return fmt.Errorf("wal: replay read: %w", err)
-		}
-		if crc32.Checksum(body[:n], castagnoli) != binary.LittleEndian.Uint32(body[n:]) {
-			return fmt.Errorf("wal: replay CRC mismatch inside valid prefix")
-		}
-		rec, err := decodeRecord(body[:n])
-		if err != nil {
-			return fmt.Errorf("wal: replay decode: %w", err)
-		}
 		l.replayed.Add(1)
-		if err := fn(rec); err != nil {
-			return err
-		}
+		return fn(rec)
+	})
+	if err == nil && valid != l.appendLSN {
+		err = fmt.Errorf("wal: replay ended at byte %d inside the %d-byte valid prefix", valid, l.appendLSN)
 	}
+	return err
 }
 
 // Append encodes rec as one frame and writes it at the log tail, returning
@@ -268,10 +238,7 @@ func (l *Log) Replay(fn func(*Record) error) error {
 // is in the OS page cache only; it is durable after Sync covers its LSN.
 func (l *Log) Append(rec *Record) (uint64, error) {
 	payload := encodeRecord(rec)
-	frame := make([]byte, 0, frameOverhead+len(payload))
-	frame = binary.LittleEndian.AppendUint32(frame, uint32(len(payload)))
-	frame = append(frame, payload...)
-	frame = binary.LittleEndian.AppendUint32(frame, crc32.Checksum(payload, castagnoli))
+	buf := frame.Append(make([]byte, 0, frame.Overhead+len(payload)), payload)
 
 	l.mu.Lock()
 	defer l.mu.Unlock()
@@ -286,11 +253,11 @@ func (l *Log) Append(rec *Record) (uint64, error) {
 	}
 	// Corruption scheduled here damages the frame in flight — recovery must
 	// stop at it, proving the CRC framing catches torn/bit-rotted appends.
-	if err := l.faults.CheckData(FPFrame, frame); err != nil {
+	if err := l.faults.CheckData(FPFrame, buf); err != nil {
 		return 0, err
 	}
-	n, err := l.f.Write(frame)
-	if err != nil || n != len(frame) {
+	n, err := l.f.Write(buf)
+	if err != nil || n != len(buf) {
 		// Roll the file back to the last whole frame so later appends do
 		// not land after garbage; if that fails the log is unusable.
 		if terr := l.f.Truncate(int64(l.appendLSN)); terr != nil {
@@ -303,9 +270,9 @@ func (l *Log) Append(rec *Record) (uint64, error) {
 		}
 		return 0, fmt.Errorf("wal: append: %w", err)
 	}
-	l.appendLSN += uint64(len(frame))
+	l.appendLSN += uint64(len(buf))
 	l.appends.Add(1)
-	l.bytes.Add(uint64(len(frame)))
+	l.bytes.Add(uint64(len(buf)))
 	return l.appendLSN, nil
 }
 
@@ -482,133 +449,104 @@ func EncodeRecord(r *Record) []byte { return encodeRecord(r) }
 // untrusted wire input once the caller has checked the frame CRC.
 func DecodeRecord(b []byte) (*Record, error) { return decodeRecord(b) }
 
-func appendString(b []byte, s string) []byte {
-	b = binary.AppendUvarint(b, uint64(len(s)))
-	return append(b, s...)
-}
-
-func readString(b []byte) (string, []byte, error) {
-	n, sz := binary.Uvarint(b)
-	if sz <= 0 || uint64(len(b)-sz) < n {
-		return "", nil, fmt.Errorf("wal: truncated string field")
-	}
-	return string(b[sz : sz+int(n)]), b[sz+int(n):], nil
-}
-
 func encodeRecord(r *Record) []byte {
 	b := make([]byte, 0, 16+len(r.Table)+len(r.Data)+len(r.Model)+len(r.File))
 	b = append(b, byte(r.Type))
 	b = binary.LittleEndian.AppendUint64(b, r.CSN)
 	switch r.Type {
 	case RecInsert:
-		b = appendString(b, r.Table)
-		b = binary.AppendUvarint(b, uint64(len(r.Data)))
-		b = append(b, r.Data...)
+		b = frame.AppendBytes(frame.AppendBytes(b, []byte(r.Table)), r.Data)
 	case RecCommit:
 	case RecCreateTable:
-		b = appendString(b, r.Table)
+		b = frame.AppendBytes(b, []byte(r.Table))
 		b = binary.AppendUvarint(b, uint64(len(r.Cols)))
 		for _, c := range r.Cols {
-			b = appendString(b, c.Name)
-			b = append(b, c.Type)
+			b = append(frame.AppendBytes(b, []byte(c.Name)), c.Type)
 		}
 	case RecDropTable:
-		b = appendString(b, r.Table)
+		b = frame.AppendBytes(b, []byte(r.Table))
 	case RecLoadModel:
-		b = appendString(b, r.Model)
-		b = appendString(b, r.File)
+		b = frame.AppendBytes(frame.AppendBytes(b, []byte(r.Model)), []byte(r.File))
 		b = binary.LittleEndian.AppendUint64(b, math.Float64bits(r.Acc))
-		b = binary.AppendUvarint(b, uint64(len(r.Data)))
-		b = append(b, r.Data...)
+		b = frame.AppendBytes(b, r.Data)
 	case RecBlock:
-		b = binary.AppendUvarint(b, uint64(len(r.Data)))
-		b = append(b, r.Data...)
+		b = frame.AppendBytes(b, r.Data)
 	case RecDropModel:
-		b = appendString(b, r.Model)
+		b = frame.AppendBytes(b, []byte(r.Model))
 	}
 	return b
 }
 
 func decodeRecord(b []byte) (*Record, error) {
 	if len(b) < 9 {
-		return nil, fmt.Errorf("wal: record shorter than header")
+		return nil, errors.New("wal: record shorter than header")
 	}
 	r := &Record{Type: RecType(b[0]), CSN: binary.LittleEndian.Uint64(b[1:9])}
 	b = b[9:]
+	var name, data []byte
 	var err error
 	switch r.Type {
 	case RecInsert:
-		if r.Table, b, err = readString(b); err != nil {
-			return nil, err
+		if name, b, err = frame.ReadBytes(b); err == nil {
+			data, b, err = frame.ReadBytes(b)
 		}
-		n, sz := binary.Uvarint(b)
-		if sz <= 0 || uint64(len(b)-sz) < n {
-			return nil, fmt.Errorf("wal: truncated insert payload")
-		}
-		r.Data = append([]byte(nil), b[sz:sz+int(n)]...)
-		b = b[sz+int(n):]
+		r.Table, r.Data = string(name), append([]byte(nil), data...)
 	case RecCommit:
 	case RecCreateTable:
-		if r.Table, b, err = readString(b); err != nil {
-			return nil, err
+		var n uint64
+		if name, b, err = frame.ReadBytes(b); err == nil {
+			n, b, err = frame.ReadUvarint(b)
 		}
-		n, sz := binary.Uvarint(b)
-		if sz <= 0 || n > 1<<16 {
-			return nil, fmt.Errorf("wal: bad column count")
+		if err == nil && n > 1<<16 {
+			err = errors.New("wal: bad column count")
 		}
-		b = b[sz:]
-		for i := uint64(0); i < n; i++ {
-			var c Col
-			if c.Name, b, err = readString(b); err != nil {
-				return nil, err
+		r.Table = string(name)
+		for i := uint64(0); err == nil && i < n; i++ {
+			var col []byte
+			if col, b, err = frame.ReadBytes(b); err == nil && len(b) == 0 {
+				err = errors.New("wal: truncated column type")
 			}
-			if len(b) < 1 {
-				return nil, fmt.Errorf("wal: truncated column type")
+			if err == nil {
+				r.Cols = append(r.Cols, Col{Name: string(col), Type: b[0]})
+				b = b[1:]
 			}
-			c.Type, b = b[0], b[1:]
-			r.Cols = append(r.Cols, c)
 		}
 	case RecDropTable:
-		if r.Table, b, err = readString(b); err != nil {
-			return nil, err
-		}
+		name, b, err = frame.ReadBytes(b)
+		r.Table = string(name)
 	case RecLoadModel:
-		if r.Model, b, err = readString(b); err != nil {
+		var file []byte
+		if name, b, err = frame.ReadBytes(b); err == nil {
+			file, b, err = frame.ReadBytes(b)
+		}
+		if err == nil && len(b) < 8 {
+			err = errors.New("wal: truncated model record")
+		}
+		if err != nil {
 			return nil, err
 		}
-		if r.File, b, err = readString(b); err != nil {
-			return nil, err
-		}
-		if len(b) < 8 {
-			return nil, fmt.Errorf("wal: truncated model record")
-		}
+		r.Model, r.File = string(name), string(file)
 		r.Acc = math.Float64frombits(binary.LittleEndian.Uint64(b))
-		b = b[8:]
 		// The trailing manifest is absent in records from pre-blockstore
 		// logs; tolerate both forms.
-		if len(b) > 0 {
-			n, sz := binary.Uvarint(b)
-			if sz <= 0 || uint64(len(b)-sz) < n {
-				return nil, fmt.Errorf("wal: truncated model manifest")
-			}
-			if n > 0 {
-				r.Data = append([]byte(nil), b[sz:sz+int(n)]...)
-			}
-			b = b[sz+int(n):]
+		if b = b[8:]; len(b) > 0 {
+			data, b, err = frame.ReadBytes(b)
+			r.Data = append([]byte(nil), data...)
 		}
 	case RecBlock:
-		n, sz := binary.Uvarint(b)
-		if sz <= 0 || n == 0 || n > 1<<17 || uint64(len(b)-sz) < n {
-			return nil, fmt.Errorf("wal: bad block payload")
+		data, b, err = frame.ReadBytes(b)
+		if err == nil && (len(data) == 0 || len(data) > 1<<17) {
+			err = errors.New("wal: bad block payload")
 		}
-		r.Data = append([]byte(nil), b[sz:sz+int(n)]...)
-		b = b[sz+int(n):]
+		r.Data = append([]byte(nil), data...)
 	case RecDropModel:
-		if r.Model, b, err = readString(b); err != nil {
-			return nil, err
-		}
+		name, b, err = frame.ReadBytes(b)
+		r.Model = string(name)
 	default:
 		return nil, fmt.Errorf("wal: unknown record type %d", r.Type)
+	}
+	if err != nil {
+		return nil, err
 	}
 	if len(b) != 0 {
 		return nil, fmt.Errorf("wal: %d trailing bytes in record", len(b))
