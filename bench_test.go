@@ -909,6 +909,52 @@ func BenchmarkSnapshotReadUnderWrites(b *testing.B) {
 	})
 }
 
+// BenchmarkPointPredict measures the point-read serving statement,
+// `SELECT id, PREDICT(m, features) FROM txns WHERE id = k`, over 8192 rows
+// with Fraud-FC-1024. The scan evaluates the WHERE on encoded records, so
+// only the matching row is decoded and the PREDICT runs columnar;
+// allocs/op tracks that the other 8191 rows cost no allocation.
+func BenchmarkPointPredict(b *testing.B) {
+	const nRows, hidden = 8192, 1024
+	d := data.Fraud(23, nRows)
+	model := nn.FraudFC(rand.New(rand.NewSource(24)), hidden)
+	db, err := engine.Open(filepath.Join(b.TempDir(), "bench.db"), engine.Options{})
+	if err != nil {
+		b.Fatal(err)
+	}
+	b.Cleanup(func() { db.Close() })
+	rows, schema, err := d.FeatureRows()
+	if err != nil {
+		b.Fatal(err)
+	}
+	if _, err := db.CreateTable("txns", schema); err != nil {
+		b.Fatal(err)
+	}
+	if _, err := db.InsertRows("txns", rows); err != nil {
+		b.Fatal(err)
+	}
+	if err := db.LoadModel(model, 0); err != nil {
+		b.Fatal(err)
+	}
+	query := func(k int) string {
+		return fmt.Sprintf("SELECT id, PREDICT(%s, features) FROM txns WHERE id = %d", model.Name(), k)
+	}
+	if _, err := db.Exec(query(0)); err != nil { // warm the pool
+		b.Fatal(err)
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		res, err := db.Exec(query(i * 7919 % nRows))
+		if err != nil {
+			b.Fatal(err)
+		}
+		if len(res.Rows) != 1 {
+			b.Fatalf("rows = %d", len(res.Rows))
+		}
+	}
+}
+
 // ---- PR 9: sharded scatter-gather scan ----
 
 // BenchmarkShardedScan measures a full PREDICT table scan through the

@@ -453,7 +453,7 @@ func TestExecProfiled(t *testing.T) {
 	for i, s := range stats {
 		names[i] = s.Name
 	}
-	want := []string{"limit", "project", "predict", "filter", "scan"}
+	want := []string{"limit", "project", "predict", "scan"}
 	if len(names) != len(want) {
 		t.Fatalf("stages = %v", names)
 	}
@@ -462,14 +462,23 @@ func TestExecProfiled(t *testing.T) {
 			t.Fatalf("stages = %v, want %v", names, want)
 		}
 	}
-	// Row counts: limit caps at 10; the scan stops early once the limit
-	// is satisfied (pipelined early termination), so it reads at least
-	// the 10 surviving rows but need not read all 40.
+	// Row counts: limit caps at 10; the scan evaluates the WHERE itself
+	// and stops early once the limit is satisfied (pipelined early
+	// termination), so it keeps at least the 10 surviving rows, at most
+	// the 20 that match, and examines no more than all 40.
 	if stats[0].Rows != 10 {
 		t.Fatalf("limit rows = %d", stats[0].Rows)
 	}
-	if stats[4].Rows < 10 || stats[4].Rows > 40 {
-		t.Fatalf("scan rows = %d", stats[4].Rows)
+	scan := stats[3]
+	if scan.Rows < 10 || scan.Rows > 20 {
+		t.Fatalf("scan rows = %d", scan.Rows)
+	}
+	var examined int64
+	if _, err := fmt.Sscanf(scan.Note, "where id < 20 examined=%d", &examined); err != nil {
+		t.Fatalf("scan note %q: %v", scan.Note, err)
+	}
+	if examined < scan.Rows || examined > 40 {
+		t.Fatalf("scan examined %d rows, kept %d", examined, scan.Rows)
 	}
 	// Outer stages include inner time.
 	for i := 1; i < len(stats); i++ {
@@ -484,6 +493,36 @@ func TestExecProfiled(t *testing.T) {
 	}
 	if _, _, err := db.ExecProfiled("DROP TABLE txns"); err == nil {
 		t.Fatal("non-SELECT must be rejected by ExecProfiled")
+	}
+}
+
+// TestExecProfiledScanWhereNote: EXPLAIN ANALYZE shows the WHERE clause on
+// the scan stage that evaluates it, with the rows it examined, and no
+// separate filter stage — for heap scans and CTE sources alike.
+func TestExecProfiledScanWhereNote(t *testing.T) {
+	db := openDB(t, Options{InferBatch: 8})
+	loadFraud(t, db, 40)
+	for _, c := range []struct{ sql, stage string }{
+		{"SELECT id FROM txns WHERE id = 5", "scan"},
+		{"WITH s AS (SELECT id, label FROM txns) SELECT id FROM s WHERE id = 5", "cte"},
+	} {
+		res, stats, err := db.ExecProfiled(c.sql)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if len(res.Rows) != 1 || res.Rows[0][0].Int != 5 {
+			t.Fatalf("%s: rows = %v", c.sql, res.Rows)
+		}
+		var names []string
+		for _, s := range stats {
+			names = append(names, s.Name)
+		}
+		if len(stats) != 2 || stats[1].Name != c.stage {
+			t.Fatalf("%s: stages = %v, want [project %s]", c.sql, names, c.stage)
+		}
+		if stats[1].Rows != 1 || stats[1].Note != "where id = 5 examined=40" {
+			t.Fatalf("%s: %s stage rows=%d note=%q", c.sql, c.stage, stats[1].Rows, stats[1].Note)
+		}
 	}
 }
 

@@ -18,15 +18,13 @@ func RunMemSelect(st *sql.Select, schema *table.Schema, rows []table.Tuple) (*Re
 	if st.HasPredict() {
 		return nil, fmt.Errorf("engine: PREDICT is not supported over gathered rows")
 	}
-	var op exec.Operator = exec.NewMemScan(schema, rows)
-
-	if st.Where != nil {
-		pred, err := compileWhere(schema, st.Where)
-		if err != nil {
-			return nil, err
-		}
-		op = exec.NewFilter(op, pred)
+	where, err := compileWhere(schema, st.Where)
+	if err != nil {
+		return nil, err
 	}
+	ms := exec.NewMemScan(schema, rows)
+	ms.SetWhere(where)
+	var op exec.Operator = ms
 
 	if st.GroupBy != "" || st.HasAggregate() {
 		var groupBy []string

@@ -140,7 +140,7 @@ func TestSlowQueryLogExactlyOneLine(t *testing.T) {
 		t.Fatalf("slow query produced %d lines: %q", len(lines), buf.String())
 	}
 	line := lines[0]
-	for _, want := range []string{"slow-query", "SELECT a FROM t WHERE a > 1", "spans=[", "scan", "filter", "rows=2"} {
+	for _, want := range []string{"slow-query", "SELECT a FROM t WHERE a > 1", "spans=[", "project", "scan", "rows=2"} {
 		if !strings.Contains(line, want) {
 			t.Fatalf("slow-query line missing %q: %s", want, line)
 		}

@@ -24,9 +24,9 @@ func (db *DB) ExecProfiled(sqlText string) (*Result, []exec.StageStat, error) {
 	return db.exec(context.Background(), sqlText, true)
 }
 
-// runSelect compiles and runs a SELECT: heap scan → filter → optional
-// PREDICT inference operator → projection → order → limit. Every
-// cancellation-aware operator in the tree observes tok.
+// runSelect compiles and runs a SELECT: heap scan (evaluating WHERE on the
+// encoded records) → optional PREDICT inference operator → projection →
+// order → limit. Every cancellation-aware operator in the tree observes tok.
 //
 // SELECT (including PREDICT) is the lock-free serving path: the statement
 // holds no table lock, only the heap's read gate (admitting any number of
@@ -50,9 +50,8 @@ func (db *DB) runSelect(st *sql.Select, profile bool, tok *lifecycle.Token) (*Re
 	// Each CTE sees only the bindings before it, so chained CTEs resolve
 	// left-to-right and cycles are impossible.
 	var (
-		op        exec.Operator
-		srcSchema *table.Schema
-		snap      uint64
+		op   exec.Operator
+		snap uint64
 	)
 	if i := cteIndex(st); i >= 0 {
 		body := *st.With[i].Query
@@ -61,9 +60,13 @@ func (db *DB) runSelect(st *sql.Select, profile bool, tok *lifecycle.Token) (*Re
 		if err != nil {
 			return nil, nil, fmt.Errorf("engine: CTE %q: %w", st.From, err)
 		}
+		where, err := compileWhere(inner.Schema, st.Where)
+		if err != nil {
+			return nil, nil, err
+		}
 		snap = inner.SnapshotCSN
-		srcSchema = inner.Schema
 		ms := exec.NewMemScan(inner.Schema, inner.Rows)
+		ms.SetWhere(where)
 		ms.SetCancel(tok)
 		op = wrap("cte", ms)
 	} else {
@@ -72,11 +75,15 @@ func (db *DB) runSelect(st *sql.Select, profile bool, tok *lifecycle.Token) (*Re
 			return nil, nil, err
 		}
 		defer te.Heap.EndRead()
+		where, err := compileWhere(te.Heap.Schema(), st.Where)
+		if err != nil {
+			return nil, nil, err
+		}
 		db.mSnapshotReads.Inc()
 		snap = db.snapshotCSN()
 		scan := exec.NewHeapScanAt(te.Heap, snap)
+		scan.SetWhere(where)
 		scan.SetCancel(tok)
-		srcSchema = te.Heap.Schema()
 		op = wrap("scan", scan)
 		if profile {
 			// Surface observability warnings (e.g. a stale vector index over
@@ -85,14 +92,6 @@ func (db *DB) runSelect(st *sql.Select, profile bool, tok *lifecycle.Token) (*Re
 				stages[0].AddNote(w)
 			}
 		}
-	}
-
-	if st.Where != nil {
-		pred, err := compileWhere(srcSchema, st.Where)
-		if err != nil {
-			return nil, nil, err
-		}
-		op = wrap("filter", exec.NewFilter(op, pred))
 	}
 
 	// At most one PREDICT per query; it appends a "prediction" column.
@@ -248,8 +247,12 @@ func cteIndex(st *sql.Select) int {
 	return -1
 }
 
-// compileWhere builds a predicate for `col op literal`.
-func compileWhere(schema *table.Schema, c *sql.Condition) (exec.Predicate, error) {
+// compileWhere builds the scan predicate for `col op literal`, or nil when
+// the statement has no WHERE clause.
+func compileWhere(schema *table.Schema, c *sql.Condition) (*table.ColPred, error) {
+	if c == nil {
+		return nil, nil
+	}
 	idx := schema.ColIndex(c.Col)
 	if idx < 0 {
 		return nil, fmt.Errorf("engine: unknown column %q", c.Col)
@@ -268,22 +271,25 @@ func compileWhere(schema *table.Schema, c *sql.Condition) (exec.Predicate, error
 	if err != nil {
 		return nil, err
 	}
+	var pass func(table.Value) bool
 	switch c.Op {
 	case "=":
-		return func(t table.Tuple) (bool, error) { return cmp(t[idx]) == 0, nil }, nil
+		pass = func(v table.Value) bool { return cmp(v) == 0 }
 	case "!=":
-		return func(t table.Tuple) (bool, error) { return cmp(t[idx]) != 0, nil }, nil
+		pass = func(v table.Value) bool { return cmp(v) != 0 }
 	case "<":
-		return func(t table.Tuple) (bool, error) { return cmp(t[idx]) < 0, nil }, nil
+		pass = func(v table.Value) bool { return cmp(v) < 0 }
 	case "<=":
-		return func(t table.Tuple) (bool, error) { return cmp(t[idx]) <= 0, nil }, nil
+		pass = func(v table.Value) bool { return cmp(v) <= 0 }
 	case ">":
-		return func(t table.Tuple) (bool, error) { return cmp(t[idx]) > 0, nil }, nil
+		pass = func(v table.Value) bool { return cmp(v) > 0 }
 	case ">=":
-		return func(t table.Tuple) (bool, error) { return cmp(t[idx]) >= 0, nil }, nil
+		pass = func(v table.Value) bool { return cmp(v) >= 0 }
 	default:
 		return nil, fmt.Errorf("engine: unsupported operator %q", c.Op)
 	}
+	desc := c.Col + " " + c.Op + " " + sql.RenderLiteral(c.Lit)
+	return &table.ColPred{Col: idx, Pass: pass, Desc: desc}, nil
 }
 
 // comparator returns a function comparing a column value against the

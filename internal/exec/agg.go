@@ -3,7 +3,7 @@ package exec
 import (
 	"fmt"
 	"sort"
-	"strings"
+	"strconv"
 
 	"tensorbase/internal/lifecycle"
 	"tensorbase/internal/table"
@@ -144,7 +144,10 @@ func (a *HashAggregate) Open() error {
 		return err
 	}
 	groups := make(map[string]*aggState)
-	var order []string
+	var (
+		order []string
+		key   []byte
+	)
 	for {
 		if err := a.tok.Err(); err != nil {
 			return err
@@ -156,8 +159,8 @@ func (a *HashAggregate) Open() error {
 		if !ok {
 			break
 		}
-		key := a.groupKey(t)
-		st, ok := groups[key]
+		key = appendGroupKey(key[:0], t, a.groupIdx)
+		st, ok := groups[string(key)]
 		if !ok {
 			st = &aggState{
 				key:  a.keyTuple(t),
@@ -166,8 +169,9 @@ func (a *HashAggregate) Open() error {
 				maxs: make([]float64, len(a.specs)),
 				vecs: make([][]float32, len(a.specs)),
 			}
-			groups[key] = st
-			order = append(order, key)
+			k := string(key)
+			groups[k] = st
+			order = append(order, k)
 		}
 		if err := a.accumulate(st, t); err != nil {
 			return err
@@ -182,19 +186,38 @@ func (a *HashAggregate) Open() error {
 	return nil
 }
 
-func (a *HashAggregate) groupKey(t table.Tuple) string {
-	return groupKeyOf(t, a.groupIdx)
-}
-
-// groupKeyOf builds the canonical group-key string for the values of t at
-// idx. The partitioned aggregate uses the same encoding to route tuples and
-// to merge-sort results, so its output order matches the serial operator's.
-func groupKeyOf(t table.Tuple, idx []int) string {
-	var sb strings.Builder
+// appendGroupKey appends the canonical group key of t's values at idx to
+// dst: each value's text followed by '|'. INT, FLOAT and TEXT values render
+// as their String method does (fmt's %d and %g, the raw string); a vector
+// renders every element, "[e0 e1 ...]", so distinct vectors never share a
+// group. Keys are built with strconv into the caller's reused buffer. The
+// serial, partitioned and merging aggregates all order their output by
+// these keys, so the three agree on it.
+func appendGroupKey(dst []byte, t table.Tuple, idx []int) []byte {
 	for _, i := range idx {
-		fmt.Fprintf(&sb, "%v|", t[i])
+		v := t[i]
+		switch v.Type {
+		case table.Int64:
+			dst = strconv.AppendInt(dst, v.Int, 10)
+		case table.Float64:
+			dst = strconv.AppendFloat(dst, v.Float, 'g', -1, 64)
+		case table.Text:
+			dst = append(dst, v.Str...)
+		case table.FloatVec:
+			dst = append(dst, '[')
+			for j, f := range v.Vec {
+				if j > 0 {
+					dst = append(dst, ' ')
+				}
+				dst = strconv.AppendFloat(dst, float64(f), 'g', -1, 32)
+			}
+			dst = append(dst, ']')
+		default:
+			dst = append(dst, "<nil>"...)
+		}
+		dst = append(dst, '|')
 	}
-	return sb.String()
+	return dst
 }
 
 func (a *HashAggregate) keyTuple(t table.Tuple) table.Tuple {

@@ -34,13 +34,16 @@ func TestMemScan(t *testing.T) {
 
 func TestFilter(t *testing.T) {
 	sc := NewMemScan(intsSchema(), rows([2]float64{1, 0.5}, [2]float64{2, 1.5}, [2]float64{3, 2.5}))
-	f := NewFilter(sc, func(tp table.Tuple) (bool, error) { return tp[1].Float > 1, nil })
-	got, err := Collect(f)
+	sc.SetWhere(&table.ColPred{Col: 1, Pass: func(v table.Value) bool { return v.Float > 1 }, Desc: "v > 1"})
+	got, err := Collect(sc)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if len(got) != 2 || got[0][0].Int != 2 {
 		t.Fatalf("filter = %v", got)
+	}
+	if note := sc.StageNote(); note != "where v > 1 examined=3" {
+		t.Fatalf("StageNote = %q", note)
 	}
 }
 
@@ -339,7 +342,8 @@ func TestPipelineComposition(t *testing.T) {
 	for i := 0; i < 100; i++ {
 		in = append(in, table.Tuple{table.IntVal(int64(i)), table.FloatVal(float64(i % 10))})
 	}
-	f := NewFilter(NewMemScan(s, in), func(tp table.Tuple) (bool, error) { return tp[1].Float >= 5, nil })
+	f := NewMemScan(s, in)
+	f.SetWhere(&table.ColPred{Col: 1, Pass: func(v table.Value) bool { return v.Float >= 5 }})
 	p, err := NewProject(f, "id")
 	if err != nil {
 		t.Fatal(err)

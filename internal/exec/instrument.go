@@ -245,7 +245,7 @@ func formatExtras(s StageStat) string {
 }
 
 // SummarizeProfile renders spans as one line for the slow-query log:
-// "scan 1000r 1.2ms -> filter 400r 300µs -> ...", innermost last.
+// "limit 10r 1.5ms -> project 10r 1.4ms -> scan 10r 1.2ms", innermost last.
 func SummarizeProfile(stats []StageStat) string {
 	if len(stats) == 0 {
 		return ""

@@ -297,7 +297,10 @@ func (m *MergeAggregate) Open() error {
 		groupIdx[i] = i
 	}
 	groups := make(map[string]*mergeState)
-	var order []string
+	var (
+		order []string
+		key   []byte
+	)
 	for _, in := range m.ins {
 		if err := in.Open(); err != nil {
 			return err
@@ -313,8 +316,8 @@ func (m *MergeAggregate) Open() error {
 			if !ok {
 				break
 			}
-			key := groupKeyOf(t, groupIdx)
-			st, ok := groups[key]
+			key = appendGroupKey(key[:0], t, groupIdx)
+			st, ok := groups[string(key)]
 			if !ok {
 				st = &mergeState{
 					key:    append(table.Tuple(nil), t[:m.groupN]...),
@@ -323,8 +326,9 @@ func (m *MergeAggregate) Open() error {
 					mins:   make([]float64, len(m.finals)),
 					maxs:   make([]float64, len(m.finals)),
 				}
-				groups[key] = st
-				order = append(order, key)
+				k := string(key)
+				groups[k] = st
+				order = append(order, k)
 			}
 			for i, f := range m.finals {
 				switch f.Kind {

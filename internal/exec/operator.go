@@ -1,8 +1,9 @@
-// Package exec implements the Volcano-style relational executor: scans,
-// filters, projections, hash and similarity joins, hash aggregation, sort,
-// and limit. These are the operators the relation-centric representation
-// lowers tensor computations onto (matrix multiply → join + aggregation) and
-// the substrate for ordinary SQL processing around model inference.
+// Package exec implements the Volcano-style relational executor: scans
+// (which evaluate a WHERE predicate themselves), projections, hash and
+// similarity joins, hash aggregation, sort, and limit. These are the
+// operators the relation-centric representation lowers tensor computations
+// onto (matrix multiply → join + aggregation) and the substrate for ordinary
+// SQL processing around model inference.
 package exec
 
 import (
@@ -30,7 +31,7 @@ type Operator interface {
 // one contiguous Feats buffer (see table.ColBatch), which consumers use
 // directly as a tensor backing array. The PREDICT operator probes its child
 // for this interface at Open and falls back to row-at-a-time Next when the
-// child (a filter, an instrumented wrapper) cannot batch columnarly.
+// child (a memory scan, an instrumented wrapper) cannot batch columnarly.
 type ColBatcher interface {
 	Operator
 	// NextColBatch appends rows to cb until it is full or the input is
@@ -80,12 +81,24 @@ func Collect(op Operator) ([]table.Tuple, error) {
 	}
 }
 
-// MemScan produces tuples from an in-memory slice.
+// whereNote renders a scan's predicate and how many rows it examined, the
+// EXPLAIN ANALYZE note of a scan that evaluates a WHERE clause.
+func whereNote(p *table.ColPred, examined int64) string {
+	if p == nil {
+		return ""
+	}
+	return fmt.Sprintf("where %s examined=%d", p.Desc, examined)
+}
+
+// MemScan produces tuples from an in-memory slice, optionally keeping only
+// those a predicate passes.
 type MemScan struct {
-	schema *table.Schema
-	rows   []table.Tuple
-	pos    int
-	tok    *lifecycle.Token
+	schema   *table.Schema
+	rows     []table.Tuple
+	where    *table.ColPred
+	pos      int
+	examined int64
+	tok      *lifecycle.Token
 }
 
 // NewMemScan returns a scan over rows with the given schema.
@@ -93,37 +106,52 @@ func NewMemScan(schema *table.Schema, rows []table.Tuple) *MemScan {
 	return &MemScan{schema: schema, rows: rows}
 }
 
+// SetWhere makes the scan yield only rows whose value at p.Col passes
+// p.Pass (every row when p is nil). Call it before Open.
+func (m *MemScan) SetWhere(p *table.ColPred) { m.where = p }
+
 // Schema implements Operator.
 func (m *MemScan) Schema() *table.Schema { return m.schema }
 
 // Open implements Operator.
-func (m *MemScan) Open() error { m.pos = 0; return nil }
+func (m *MemScan) Open() error { m.pos, m.examined = 0, 0; return nil }
 
 // SetCancel implements Cancellable.
 func (m *MemScan) SetCancel(tok *lifecycle.Token) { m.tok = tok }
 
 // Next implements Operator.
 func (m *MemScan) Next() (table.Tuple, bool, error) {
-	if err := m.tok.Err(); err != nil {
-		return nil, false, err
+	for m.pos < len(m.rows) {
+		if err := m.tok.Err(); err != nil {
+			return nil, false, err
+		}
+		t := m.rows[m.pos]
+		m.pos++
+		m.examined++
+		if m.where == nil || m.where.Pass(t[m.where.Col]) {
+			return t, true, nil
+		}
 	}
-	if m.pos >= len(m.rows) {
-		return nil, false, nil
-	}
-	t := m.rows[m.pos]
-	m.pos++
-	return t, true, nil
+	return nil, false, m.tok.Err()
 }
+
+// StageNote implements Noter: the predicate and the rows it examined.
+func (m *MemScan) StageNote() string { return whereNote(m.where, m.examined) }
 
 // Close implements Operator.
 func (m *MemScan) Close() error { return nil }
 
-// HeapScan produces tuples from a heap file, one pinned page at a time.
+// HeapScan produces tuples from a heap file, one pinned page at a time. A
+// WHERE predicate set with SetWhere is evaluated by the table scanner on
+// each encoded record, so rejected rows are never decoded and the scan
+// stays a ColBatcher.
 type HeapScan struct {
-	heap *table.Heap
-	snap uint64
-	scan *table.Scanner
-	tok  *lifecycle.Token
+	heap     *table.Heap
+	snap     uint64
+	where    *table.ColPred
+	scan     *table.Scanner
+	examined int64 // the last scan's count, saved by Close
+	tok      *lifecycle.Token
 }
 
 // NewHeapScan returns a scan over h reading the latest snapshot (every
@@ -136,11 +164,20 @@ func NewHeapScan(h *table.Heap) *HeapScan { return &HeapScan{heap: h, snap: tabl
 // writer's unpublished rows.
 func NewHeapScanAt(h *table.Heap, csn uint64) *HeapScan { return &HeapScan{heap: h, snap: csn} }
 
+// SetWhere makes the scan yield only rows p passes (every row when p is
+// nil). Call it before Open.
+func (s *HeapScan) SetWhere(p *table.ColPred) { s.where = p }
+
 // Schema implements Operator.
 func (s *HeapScan) Schema() *table.Schema { return s.heap.Schema() }
 
 // Open implements Operator.
-func (s *HeapScan) Open() error { s.scan = s.heap.ScanAt(s.snap); return nil }
+func (s *HeapScan) Open() error {
+	s.scan = s.heap.ScanWhere(s.snap, s.where)
+	s.scan.SetCancel(s.tok)
+	s.examined = 0
+	return nil
+}
 
 // SetCancel implements Cancellable.
 func (s *HeapScan) SetCancel(tok *lifecycle.Token) { s.tok = tok }
@@ -158,9 +195,8 @@ func (s *HeapScan) Next() (table.Tuple, bool, error) {
 
 // NextColBatch implements ColBatcher: one call decodes up to a batch of
 // tuples pinning each heap page once, with the feature column swept into
-// cb's contiguous buffer. Cancellation is observed per batch (a batch is at
-// most cb's capacity, so a cancelled query still stops within one
-// micro-batch).
+// cb's contiguous buffer. Cancellation is observed per batch and, inside a
+// selective scan, per page.
 func (s *HeapScan) NextColBatch(cb *table.ColBatch) (int, error) {
 	if err := s.tok.Err(); err != nil {
 		return 0, err
@@ -171,48 +207,18 @@ func (s *HeapScan) NextColBatch(cb *table.ColBatch) (int, error) {
 	return s.scan.NextColumnar(cb)
 }
 
+// StageNote implements Noter: the predicate and the rows the last scan
+// examined (profiles read it after Close).
+func (s *HeapScan) StageNote() string { return whereNote(s.where, s.examined) }
+
 // Close implements Operator.
-func (s *HeapScan) Close() error { s.scan = nil; return nil }
-
-// Predicate decides whether a tuple passes a filter.
-type Predicate func(table.Tuple) (bool, error)
-
-// Filter passes through tuples satisfying a predicate.
-type Filter struct {
-	in   Operator
-	pred Predicate
-}
-
-// NewFilter returns a filter over in.
-func NewFilter(in Operator, pred Predicate) *Filter {
-	return &Filter{in: in, pred: pred}
-}
-
-// Schema implements Operator.
-func (f *Filter) Schema() *table.Schema { return f.in.Schema() }
-
-// Open implements Operator.
-func (f *Filter) Open() error { return f.in.Open() }
-
-// Next implements Operator.
-func (f *Filter) Next() (table.Tuple, bool, error) {
-	for {
-		t, ok, err := f.in.Next()
-		if err != nil || !ok {
-			return nil, false, err
-		}
-		pass, err := f.pred(t)
-		if err != nil {
-			return nil, false, err
-		}
-		if pass {
-			return t, true, nil
-		}
+func (s *HeapScan) Close() error {
+	if s.scan != nil {
+		s.examined = s.scan.Examined()
 	}
+	s.scan = nil
+	return nil
 }
-
-// Close implements Operator.
-func (f *Filter) Close() error { return f.in.Close() }
 
 // Project keeps the named columns, in order.
 type Project struct {

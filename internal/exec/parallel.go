@@ -121,7 +121,10 @@ func (p *PartitionedAgg) open(w int) error {
 			}
 		}(i)
 	}
-	var produceErr error
+	var (
+		produceErr error
+		key        []byte
+	)
 	for {
 		if err := p.tok.Err(); err != nil {
 			produceErr = err
@@ -135,7 +138,8 @@ func (p *PartitionedAgg) open(w int) error {
 		if !ok {
 			break
 		}
-		chans[fnvHash(groupKeyOf(t, p.groupIdx))%uint64(w)] <- t
+		key = appendGroupKey(key[:0], t, p.groupIdx)
+		chans[fnvHash(key)%uint64(w)] <- t
 	}
 	for _, ch := range chans {
 		close(ch)
@@ -152,21 +156,26 @@ func (p *PartitionedAgg) open(w int) error {
 	// Merge and restore the serial operator's deterministic output order.
 	// Group columns lead every result tuple, so the sort key is the group
 	// key of the first len(groupBy) values.
-	n := 0
-	for _, agg := range aggs {
-		n += len(agg.results)
-	}
-	p.results = make([]table.Tuple, 0, n)
 	outIdx := make([]int, len(p.groupBy))
 	for i := range outIdx {
 		outIdx[i] = i
 	}
-	for _, agg := range aggs {
-		p.results = append(p.results, agg.results...)
+	type keyed struct {
+		key string
+		t   table.Tuple
 	}
-	sort.Slice(p.results, func(i, j int) bool {
-		return groupKeyOf(p.results[i], outIdx) < groupKeyOf(p.results[j], outIdx)
-	})
+	var merged []keyed
+	for _, agg := range aggs {
+		for _, t := range agg.results {
+			key = appendGroupKey(key[:0], t, outIdx)
+			merged = append(merged, keyed{string(key), t})
+		}
+	}
+	sort.Slice(merged, func(i, j int) bool { return merged[i].key < merged[j].key })
+	p.results = make([]table.Tuple, len(merged))
+	for i, m := range merged {
+		p.results[i] = m.t
+	}
 	p.pos = 0
 	return nil
 }
@@ -187,8 +196,8 @@ func (p *PartitionedAgg) Close() error {
 	return p.in.Close()
 }
 
-// fnvHash is FNV-1a over s, allocation-free (hash/fnv requires a []byte).
-func fnvHash(s string) uint64 {
+// fnvHash is FNV-1a over s, allocation-free.
+func fnvHash(s []byte) uint64 {
 	const (
 		offset64 = 14695981039346656037
 		prime64  = 1099511628211

@@ -23,14 +23,53 @@ func find(t *testing.T, rows []Row, workload, system string, batch int) Row {
 	return Row{}
 }
 
+// shapeRuns is how many whole runs the timing-shape tests take the best
+// latency of.
+const shapeRuns = 3
+
+// bestOf runs an experiment n times and returns the first run's rows with
+// each (workload, system, batch) latency replaced by its minimum across the
+// runs; a row that is not OK in some run keeps that run's status. Whole
+// runs alternate, so a burst of load on the machine slows every system of
+// one run rather than one system of every run, and the minimum discards it
+// without loosening any bound.
+func bestOf(t *testing.T, n int, exp func(Config) ([]Row, error)) []Row {
+	t.Helper()
+	var best []Row
+	for run := 0; run < n; run++ {
+		rows, err := exp(quickCfg(t))
+		if err != nil {
+			t.Fatal(err)
+		}
+		if best == nil {
+			best = rows
+			continue
+		}
+		if len(rows) != len(best) {
+			t.Fatalf("run %d produced %d rows, run 0 produced %d", run, len(rows), len(best))
+		}
+		for i, r := range rows {
+			b := &best[i]
+			if r.Workload != b.Workload || r.System != b.System || r.Batch != b.Batch {
+				t.Fatalf("run %d row %d is %s/%s/%d, run 0 has %s/%s/%d",
+					run, i, r.Workload, r.System, r.Batch, b.Workload, b.System, b.Batch)
+			}
+			switch {
+			case r.Status != "OK":
+				b.Status = r.Status
+			case b.Status == "OK" && r.Latency < b.Latency:
+				b.Latency = r.Latency
+			}
+		}
+	}
+	return best
+}
+
 func TestFig2ShapeInDBFasterThanDLCentric(t *testing.T) {
 	if raceEnabled {
 		t.Skip("timing-shape assertions are not meaningful under the race detector")
 	}
-	rows, err := Fig2(quickCfg(t))
-	if err != nil {
-		t.Fatal(err)
-	}
+	rows := bestOf(t, shapeRuns, Fig2)
 	if len(rows) != 9 { // 3 models × 3 systems
 		t.Fatalf("got %d rows:\n%s", len(rows), Format(rows))
 	}
@@ -64,10 +103,7 @@ func TestFig3ShapeInDBFasterThanDLCentric(t *testing.T) {
 	if raceEnabled {
 		t.Skip("timing-shape assertions are not meaningful under the race detector")
 	}
-	rows, err := Fig3(quickCfg(t))
-	if err != nil {
-		t.Fatal(err)
-	}
+	rows := bestOf(t, shapeRuns, Fig3)
 	if len(rows) != 3 {
 		t.Fatalf("got %d rows:\n%s", len(rows), Format(rows))
 	}
@@ -128,10 +164,7 @@ func TestPushdownSpeedupAndEquivalence(t *testing.T) {
 	if raceEnabled {
 		t.Skip("timing-shape assertions are not meaningful under the race detector")
 	}
-	rows, err := Pushdown(quickCfg(t))
-	if err != nil {
-		t.Fatal(err)
-	}
+	rows := bestOf(t, shapeRuns, Pushdown)
 	if len(rows) != 2 {
 		t.Fatalf("rows:\n%s", Format(rows))
 	}

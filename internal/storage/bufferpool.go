@@ -39,7 +39,10 @@ func (f *Frame) ID() PageID { return f.id }
 func (f *Frame) Data() []byte { return f.data[:] }
 
 // Page returns a slotted-page view of the frame. Valid only while pinned.
-func (f *Frame) Page() *Page { return NewPage(f.data[:]) }
+// The frame is exactly one page, so the view skips NewPage's size check;
+// that keeps Page inlinable, and a caller that does not retain the view
+// (a scan's page walk) keeps it off the heap.
+func (f *Frame) Page() *Page { return &Page{buf: f.data[:]} }
 
 // Record returns the record in the given slot without allocating a page
 // wrapper — the zero-alloc read path block-streaming loops use. The slice

@@ -4,8 +4,6 @@ import (
 	"encoding/binary"
 	"fmt"
 	"math"
-
-	"tensorbase/internal/storage"
 )
 
 // Columnar batch decode: the PREDICT hot path reads a heap of feature
@@ -104,70 +102,28 @@ func (cb *ColBatch) AppendRecord(rec []byte) error {
 			t[i] = VecVal(vec)
 		}
 	}
-	if off != len(rec) {
-		return fmt.Errorf("table: %d trailing bytes after decoding tuple", len(rec)-off)
-	}
 	cb.Tuples = append(cb.Tuples, t)
 	return nil
 }
 
-// NextColumnar fills cb with tuples from the scan position until the batch
-// is full or the heap is exhausted, returning the number appended. Unlike
-// Next, which pins its page once per tuple, one call pins each visited page
-// once for all its records. It holds the heap's read latch like Next, so it
-// interleaves safely with concurrent inserts, and applies the scanner's
-// snapshot CSN, so the PREDICT hot path gets snapshot isolation at columnar
-// speed. A return of fewer rows than the batch's free capacity means the
-// scan reached the end of the heap.
+// NextColumnar fills cb with tuples that pass the scanner's predicate,
+// from the scan position until the batch is full or the heap is exhausted,
+// returning the number appended. It shares Next's page walk — latch,
+// snapshot visibility, predicate — but hands every kept record straight to
+// cb.AppendRecord, so the PREDICT hot path gets snapshot isolation and WHERE
+// selection at columnar speed. A return of fewer rows than the batch's free
+// capacity means the scan reached the end of the heap.
 func (s *Scanner) NextColumnar(cb *ColBatch) (int, error) {
-	s.heap.mu.RLock()
-	defer s.heap.mu.RUnlock()
 	appended := 0
-	for !s.done && !cb.Full() {
-		f, err := s.heap.pool.Fetch(s.page)
-		if err != nil {
-			return appended, err
-		}
-		page := f.Page()
-		for s.slot < page.NumSlots() && !cb.Full() {
-			rec, ok, rerr := page.Record(s.slot)
-			if rerr != nil {
-				s.heap.pool.Unpin(s.page, false)
-				return appended, fmt.Errorf("table: page %d slot %d: %w", s.page, s.slot, rerr)
-			}
-			slot := s.slot
-			s.slot++
-			if !ok {
-				continue // deleted
-			}
-			vis, verr := visibleAt(rec, s.snap)
-			if verr != nil {
-				s.heap.pool.Unpin(s.page, false)
-				return appended, fmt.Errorf("table: page %d slot %d: %w", s.page, slot, verr)
-			}
-			if !vis {
-				continue // outside this snapshot
-			}
-			if err := cb.AppendRecord(rec[versionHdrSize:]); err != nil {
-				s.heap.pool.Unpin(s.page, false)
-				return appended, err
-			}
-			appended++
-		}
-		pageDone := s.slot >= page.NumSlots()
-		next := page.Next()
-		if err := s.heap.pool.Unpin(s.page, false); err != nil {
-			return appended, err
-		}
-		if !pageDone {
-			break // batch filled mid-page; resume here next call
-		}
-		if next == storage.InvalidPageID {
-			s.done = true
-			break
-		}
-		s.page = next
-		s.slot = 0
+	if cb.Full() {
+		return 0, nil
 	}
-	return appended, nil
+	err := s.walk(func(body []byte) (bool, error) {
+		if err := cb.AppendRecord(body); err != nil {
+			return false, err
+		}
+		appended++
+		return !cb.Full(), nil
+	})
+	return appended, err
 }

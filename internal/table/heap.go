@@ -6,6 +6,7 @@ import (
 	"fmt"
 	"sync"
 
+	"tensorbase/internal/lifecycle"
 	"tensorbase/internal/storage"
 )
 
@@ -388,16 +389,39 @@ func (h *Heap) ResetTail(lastSlots int, count int64) error {
 	return nil
 }
 
-// Scanner iterates the heap front to back against a fixed snapshot CSN.
-// It pins one page at a time, so scans of arbitrarily large heaps run in
-// constant memory — the property the relation-centric execution path
-// relies on.
+// ColPred is a one-column predicate a Scanner evaluates on each visible
+// record before decoding it: only column Col is decoded and handed to Pass,
+// and a record that fails is skipped inside the page walk, never decoded
+// into a tuple. This is how a WHERE clause reaches the data.
+type ColPred struct {
+	Col  int              // index into the heap's schema
+	Pass func(Value) bool // reports whether a row with this Col value is kept
+	Desc string           // how query profiles render the predicate, e.g. "id = 5"
+}
+
+// match validates rec's structure as Decode would (field bounds, no
+// trailing bytes) and reports whether it passes p. It allocates nothing
+// unless the predicate column is a TEXT or VECTOR column.
+func (p *ColPred) match(s *Schema, rec []byte) (bool, error) {
+	if _, err := measureVecs(s, rec); err != nil {
+		return false, err
+	}
+	return p.Pass(colValue(s, rec, p.Col)), nil
+}
+
+// Scanner iterates the heap front to back against a fixed snapshot CSN,
+// optionally keeping only the rows a ColPred passes. It pins one page at a
+// time, so scans of arbitrarily large heaps run in constant memory — the
+// property the relation-centric execution path relies on.
 type Scanner struct {
-	heap *Heap
-	snap uint64
-	page storage.PageID
-	slot int
-	done bool
+	heap     *Heap
+	snap     uint64
+	pred     *ColPred
+	tok      *lifecycle.Token
+	page     storage.PageID
+	slot     int
+	done     bool
+	examined int64
 }
 
 // Scan returns a scanner positioned before the first tuple, reading the
@@ -413,61 +437,118 @@ func (h *Heap) Scan() *Scanner {
 // writer's rows carry a CSN above every pinned snapshot until its commit
 // publishes them.
 func (h *Heap) ScanAt(csn uint64) *Scanner {
-	return &Scanner{heap: h, snap: csn, page: h.first}
+	return h.ScanWhere(csn, nil)
 }
 
-// Next returns the next visible tuple, or ok=false at the end. Each call
-// holds the heap's read latch, so a scan interleaves safely with concurrent
-// inserts; the snapshot CSN decides visibility, so rows a concurrent writer
-// appends behind the scan position are skipped unless the snapshot covers
-// them.
+// ScanWhere is ScanAt keeping only the rows pred passes (every row when
+// pred is nil). pred.Col must index the heap's schema.
+func (h *Heap) ScanWhere(csn uint64, pred *ColPred) *Scanner {
+	return &Scanner{heap: h, snap: csn, pred: pred, page: h.first}
+}
+
+// SetCancel makes the scan observe tok once per page, so a selective scan
+// that walks many pages within one Next call still stops when the query is
+// cancelled.
+func (s *Scanner) SetCancel(tok *lifecycle.Token) { s.tok = tok }
+
+// Examined returns the number of snapshot-visible records the scan has
+// visited so far, whether or not its predicate kept them.
+func (s *Scanner) Examined() int64 { return s.examined }
+
+// Next returns the next visible tuple that passes the scanner's predicate,
+// or ok=false at the end. Each call holds the heap's read latch, so a scan
+// interleaves safely with concurrent inserts; the snapshot CSN decides
+// visibility, so rows a concurrent writer appends behind the scan position
+// are skipped unless the snapshot covers them.
 func (s *Scanner) Next() (Tuple, bool, error) {
+	var t Tuple
+	found := false
+	err := s.walk(func(body []byte) (bool, error) {
+		var err error
+		t, err = Decode(s.heap.schema, body)
+		found = err == nil
+		return false, err
+	})
+	if err != nil || !found {
+		return nil, false, err
+	}
+	return t, true, nil
+}
+
+// walk is the one page walk under Next and NextColumnar. From the scan
+// position it skips deleted slots, records outside the snapshot and records
+// the predicate rejects, and hands each remaining record's payload to emit
+// until emit returns false or the heap is exhausted. The position then
+// rests just past the last emitted record. Each visited page is pinned once
+// per call however many records it holds, and the heap's read latch is held
+// throughout.
+func (s *Scanner) walk(emit func(body []byte) (more bool, err error)) error {
 	s.heap.mu.RLock()
 	defer s.heap.mu.RUnlock()
 	for !s.done {
+		if err := s.tok.Err(); err != nil {
+			return err
+		}
 		f, err := s.heap.pool.Fetch(s.page)
 		if err != nil {
-			return nil, false, err
+			return err
 		}
 		page := f.Page()
-		for s.slot < page.NumSlots() {
-			rec, ok, rerr := page.Record(s.slot)
-			if rerr != nil {
-				s.heap.pool.Unpin(s.page, false)
-				return nil, false, fmt.Errorf("table: page %d slot %d: %w", s.page, s.slot, rerr)
-			}
-			slot := s.slot
-			s.slot++
-			if !ok {
-				continue // deleted
-			}
-			vis, verr := visibleAt(rec, s.snap)
-			if verr != nil {
-				s.heap.pool.Unpin(s.page, false)
-				return nil, false, fmt.Errorf("table: page %d slot %d: %w", s.page, slot, verr)
-			}
-			if !vis {
-				continue // outside this snapshot
-			}
-			t, err := Decode(s.heap.schema, rec[versionHdrSize:])
-			if uerr := s.heap.pool.Unpin(s.page, false); uerr != nil && err == nil {
-				err = uerr
-			}
-			if err != nil {
-				return nil, false, err
-			}
-			return t, true, nil
-		}
+		more, err := s.walkPage(page, emit)
+		pageDone := s.slot >= page.NumSlots()
 		next := page.Next()
-		if err := s.heap.pool.Unpin(s.page, false); err != nil {
-			return nil, false, err
+		if uerr := s.heap.pool.Unpin(s.page, false); err == nil {
+			err = uerr
+		}
+		if err != nil || !pageDone {
+			return err // on !pageDone, emit stopped mid-page: resume here
 		}
 		if next == storage.InvalidPageID {
 			s.done = true
-			break
+		} else {
+			s.page, s.slot = next, 0
 		}
-		s.page = next
-		s.slot = 0
+		if !more {
+			return nil
+		}
 	}
-	return nil, false, nil
+	return nil
+}
+
+// walkPage runs walk over the records of one pinned page, reporting
+// whether emit still wants more.
+func (s *Scanner) walkPage(page *storage.Page, emit func([]byte) (bool, error)) (bool, error) {
+	for s.slot < page.NumSlots() {
+		slot := s.slot
+		rec, ok, err := page.Record(slot)
+		if err != nil {
+			return false, fmt.Errorf("table: page %d slot %d: %w", s.page, slot, err)
+		}
+		s.slot++
+		if !ok {
+			continue // deleted
+		}
+		vis, err := visibleAt(rec, s.snap)
+		if err != nil {
+			return false, fmt.Errorf("table: page %d slot %d: %w", s.page, slot, err)
+		}
+		if !vis {
+			continue // outside this snapshot
+		}
+		s.examined++
+		body := rec[versionHdrSize:]
+		if s.pred != nil {
+			pass, err := s.pred.match(s.heap.schema, body)
+			if err != nil {
+				return false, fmt.Errorf("table: page %d slot %d: %w", s.page, slot, err)
+			}
+			if !pass {
+				continue
+			}
+		}
+		if more, err := emit(body); err != nil || !more {
+			return false, err
+		}
+	}
+	return true, nil
 }

@@ -175,9 +175,6 @@ func DecodeInto(s *Schema, rec []byte, t Tuple, scratch []float32) (Tuple, []flo
 			t[i] = VecVal(vec)
 		}
 	}
-	if off != len(rec) {
-		return nil, scratch, fmt.Errorf("table: %d trailing bytes after decoding tuple", len(rec)-off)
-	}
 	return t, scratch, nil
 }
 
@@ -194,8 +191,10 @@ func decodeF32s(dst []float32, src []byte) {
 	}
 }
 
-// measureVecs walks the record validating field bounds and returns the
-// total FloatVec element count.
+// measureVecs walks the record validating field bounds and the absence of
+// trailing bytes, and returns the total FloatVec element count. Every
+// decoder of stored records runs it first, so their field loops can slice
+// without further checks.
 func measureVecs(s *Schema, rec []byte) (int, error) {
 	floats := 0
 	off := 0
@@ -224,7 +223,42 @@ func measureVecs(s *Schema, rec []byte) (int, error) {
 			floats += int(n)
 		}
 	}
+	if off != len(rec) {
+		return 0, fmt.Errorf("table: %d trailing bytes after decoding tuple", len(rec)-off)
+	}
 	return floats, nil
+}
+
+// colValue decodes column col of a record measureVecs has validated; the
+// columns before it are skipped, not decoded.
+func colValue(s *Schema, rec []byte, col int) Value {
+	off := 0
+	for _, c := range s.Cols[:col] {
+		switch c.Type {
+		case Int64, Float64:
+			off += 8
+		case Text:
+			n, sz := binary.Uvarint(rec[off:])
+			off += sz + int(n)
+		case FloatVec:
+			n, sz := binary.Uvarint(rec[off:])
+			off += sz + 4*int(n)
+		}
+	}
+	switch s.Cols[col].Type {
+	case Int64:
+		return IntVal(int64(binary.LittleEndian.Uint64(rec[off:])))
+	case Float64:
+		return FloatVal(math.Float64frombits(binary.LittleEndian.Uint64(rec[off:])))
+	case Text:
+		n, sz := binary.Uvarint(rec[off:])
+		return TextVal(string(rec[off+sz : off+sz+int(n)]))
+	default:
+		n, sz := binary.Uvarint(rec[off:])
+		vec := make([]float32, n)
+		decodeF32s(vec, rec[off+sz:])
+		return VecVal(vec)
+	}
 }
 
 func truncErr(col string) error {

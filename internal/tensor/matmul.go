@@ -44,9 +44,11 @@ func Kernels() KernelStats {
 	}
 }
 
-// SetMaxWorkers caps the number of goroutines a single kernel may fan out
-// to; n <= 0 restores the default (GOMAXPROCS).
-func SetMaxWorkers(n int) {
+// setMaxWorkers caps the number of goroutines a single kernel may fan out
+// to; n <= 0 restores the default (GOMAXPROCS). Only this package's tests
+// set it, to pin a kernel's fan-out; serving code sizes fan-out through the
+// shared compute budget instead.
+func setMaxWorkers(n int) {
 	if n < 0 {
 		n = 0
 	}
@@ -63,7 +65,7 @@ func kernelWorkers() int {
 }
 
 // fanOut decides how many goroutines a kernel over m result rows and `work`
-// multiply-adds may use. Beyond the static cap (GOMAXPROCS ∧ SetMaxWorkers)
+// multiply-adds may use. Beyond the static cap (GOMAXPROCS ∧ setMaxWorkers)
 // it asks the shared parallel.Budget for tokens, so a kernel running inside
 // an engine worker that already holds the machine's cores degrades to
 // serial instead of oversubscribing (Sec. 3). The caller's goroutine is the

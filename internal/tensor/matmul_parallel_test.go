@@ -120,8 +120,8 @@ func TestKernelFanOutRespectsSharedBudget(t *testing.T) {
 func TestSetMaxWorkersCapsKernel(t *testing.T) {
 	withProcs(t, 4)
 	b := withBudget(t, 4)
-	SetMaxWorkers(1)
-	defer SetMaxWorkers(0)
+	setMaxWorkers(1)
+	defer setMaxWorkers(0)
 	rng := rand.New(rand.NewSource(4))
 	x := randTensor(rng, 128, 128)
 	y := randTensor(rng, 128, 128)

@@ -173,10 +173,10 @@ func TestMatMulQ8ParallelBitIdentical(t *testing.T) {
 		bScales[i] = rng.Float32() + 0.01
 	}
 
-	SetMaxWorkers(1)
+	setMaxWorkers(1)
 	serial := New(m, n)
 	MatMulQ8Into(serial, a8, aScales, b8, bScales, m, k, n)
-	SetMaxWorkers(0)
+	setMaxWorkers(0)
 
 	parallel := New(m, n)
 	MatMulQ8Into(parallel, a8, aScales, b8, bScales, m, k, n)
@@ -280,10 +280,10 @@ func TestMatMulQ8PackedParallelBitIdentical(t *testing.T) {
 	PackQ8A(aLanes, aSums, a8, m, k)
 	PackQ8B(bLanes, bSums, b8, n, k)
 
-	SetMaxWorkers(1)
+	setMaxWorkers(1)
 	serial := New(m, n)
 	MatMulQ8PackedInto(serial, aLanes, aSums, aScales, bLanes, bSums, bScales, m, k, n)
-	SetMaxWorkers(0)
+	setMaxWorkers(0)
 	par := New(m, n)
 	MatMulQ8PackedInto(par, aLanes, aSums, aScales, bLanes, bSums, bScales, m, k, n)
 	if !par.Equal(serial) {

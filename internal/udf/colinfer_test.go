@@ -68,33 +68,58 @@ func TestInferOpColumnarBitIdenticalToRowPath(t *testing.T) {
 	}
 }
 
-// TestInferOpColumnarFallsBackBehindFilter: a non-columnar child (here a
-// Filter) must silently use the row path with identical results.
-func TestInferOpColumnarFallsBackBehindFilter(t *testing.T) {
+// TestInferOpColumnarThroughScanWhere: a heap scan that evaluates a WHERE
+// predicate is still a ColBatcher, so PREDICT takes the columnar path over
+// the rows the predicate keeps, bit-identical to the row path. A MemScan
+// carrying the same predicate — a source that cannot batch columnarly —
+// falls back to the row path with identical results.
+func TestInferOpColumnarThroughScanWhere(t *testing.T) {
 	rng := rand.New(rand.NewSource(51))
 	m := nn.FraudFC(rng, 16)
 	rows := featRows(rng, 40, 28)
 	h := featHeap(t, rows)
-	pred := func(tp table.Tuple) (bool, error) { return tp[0].Int%2 == 0, nil }
+	even := &table.ColPred{Col: 0, Pass: func(v table.Value) bool { return v.Int%2 == 0 }, Desc: "id % 2 = 0"}
 
-	filtered := exec.NewFilter(exec.NewHeapScan(h), pred)
-	op, err := NewInferOp(filtered, NewModelUDF(m, nil), "features", 8)
+	scan := exec.NewHeapScan(h)
+	scan.SetWhere(even)
+	colOp, err := NewInferOp(scan, NewModelUDF(m, nil), "features", 8)
 	if err != nil {
 		t.Fatal(err)
 	}
-	got, err := exec.Collect(op)
+	colRows, err := exec.Collect(colOp)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if op.Stats().ColBatches.Load() != 0 {
-		t.Fatal("filtered child must fall back to the row path")
+	if colOp.Stats().ColBatches.Load() == 0 {
+		t.Fatal("a heap scan with a predicate must engage the columnar path")
 	}
-	if len(got) != 20 {
-		t.Fatalf("got %d rows, want 20", len(got))
+
+	mem := exec.NewMemScan(featSchema(), rows)
+	mem.SetWhere(even)
+	rowOp, err := NewInferOp(mem, NewModelUDF(m, nil), "features", 8)
+	if err != nil {
+		t.Fatal(err)
 	}
-	for _, r := range got {
-		if r[0].Int%2 != 0 {
-			t.Fatalf("filter leaked row id %d", r[0].Int)
+	rowRows, err := exec.Collect(rowOp)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if rowOp.Stats().ColBatches.Load() != 0 {
+		t.Fatal("a MemScan child must use the row path")
+	}
+
+	if len(colRows) != 20 || len(rowRows) != 20 {
+		t.Fatalf("columnar %d rows, row path %d, want 20 each", len(colRows), len(rowRows))
+	}
+	for i := range rowRows {
+		if colRows[i][0].Int != rowRows[i][0].Int || colRows[i][0].Int%2 != 0 {
+			t.Fatalf("row %d: columnar id %d, row path id %d", i, colRows[i][0].Int, rowRows[i][0].Int)
+		}
+		got, want := colRows[i][len(colRows[i])-1].Vec, rowRows[i][len(rowRows[i])-1].Vec
+		for j := range want {
+			if got[j] != want[j] {
+				t.Fatalf("row %d[%d]: columnar %v != row path %v (must be bit-identical)", i, j, got[j], want[j])
+			}
 		}
 	}
 }
